@@ -27,9 +27,9 @@ from .errors import (
     WindowOutsideDomain,
     WindowTooShort,
 )
-from .fbsolver import RunTrace, Snapshot
+from .fbsolver import VANISH_SUP, VANISH_SUSTAIN, RunTrace, Snapshot
 from .model import BoundaryKind, Equilibrium, ModelParams, Nonlinearity, compute_l0
-from .semiwave import SemiWaveProfile
+from .semiwave import SemiWaveProfile, _log_linear_fit
 from ._format import json_dumps
 
 __all__ = [
@@ -55,6 +55,10 @@ __all__ = [
 ]
 
 
+_H_STABLE_TOL = 1e-3    # front movement allowed over the last half of a vanishing run
+_INTERIOR_RTOL = 0.1    # spreading: interior within 10% of (u*, v*)
+
+
 class Classification(str, Enum):
     SPREADING = "Spreading"
     VANISHING = "Vanishing"
@@ -63,23 +67,27 @@ class Classification(str, Enum):
 
 @dataclass(frozen=True)
 class AnalysisThresholds:
-    """Parameter-derived thresholds driving the dichotomy classification."""
+    """Parameter-derived thresholds driving the dichotomy classification.
+
+    Below the spreading regime there is no equilibrium: l0 is infinite, so
+    the front goal is unreachable and u_star, v_star (None) are never read.
+    """
 
     l0: float
-    u_star: float
-    v_star: float
+    u_star: float | None
+    v_star: float | None
     h0: float
     boundary: BoundaryKind
-    vanish_sup: float = 1e-6
-    vanish_sustain: float = 1.0
-    h_stable_tol: float = 1e-3
-    interior_rtol: float = 0.1
 
     @classmethod
-    def from_model(cls, nl: Nonlinearity, params: ModelParams, eq: Equilibrium,
-                   h0: float, **kw) -> "AnalysisThresholds":
+    def from_model(cls, nl: Nonlinearity, params: ModelParams, eq: Equilibrium | None,
+                   h0: float) -> "AnalysisThresholds":
+        """``eq`` is None when R0 <= 1."""
+        if eq is None:
+            return cls(l0=math.inf, u_star=None, v_star=None, h0=h0,
+                       boundary=params.boundary)
         return cls(l0=compute_l0(nl, params), u_star=eq.u_star, v_star=eq.v_star,
-                   h0=h0, boundary=params.boundary, **kw)
+                   h0=h0, boundary=params.boundary)
 
     @property
     def front_goal(self) -> float:
@@ -93,37 +101,36 @@ def classify(trace: RunTrace, thresholds: AnalysisThresholds) -> Classification:
     sustain window *and* a stabilized front. Spreading needs the front past
     max(2 l0, h0 + 5) with the interior near the equilibrium at x = h/2
     (taken from the last snapshot when one exists, else from the sup series).
+    A trace too short to show either is Undecided.
     """
-    if trace.t.size < 100:
-        raise ValueError(f"classification needs >=100 trace samples, got {trace.t.size}")
     th = thresholds
     sup_total = trace.sup_u + trace.sup_v
 
     t_first = None
     sustained = False
     for tk, sk in zip(trace.t, sup_total):
-        if sk < th.vanish_sup:
+        if sk < VANISH_SUP:
             if t_first is None:
                 t_first = tk
-            elif tk - t_first >= th.vanish_sustain:
+            elif tk - t_first >= VANISH_SUSTAIN:
                 sustained = True
                 break
         else:
             t_first = None
     t_end = trace.t[-1]
     h_mid = float(np.interp(0.5 * t_end, trace.t, trace.h))
-    if sustained and abs(trace.h[-1] - h_mid) < th.h_stable_tol:
+    if sustained and abs(trace.h[-1] - h_mid) < _H_STABLE_TOL:
         return Classification.VANISHING
 
     if trace.h[-1] >= th.front_goal:
         if trace.snapshots:
             s = trace.snapshots[-1]
             i = int(np.argmin(np.abs(s.x - 0.5 * s.h)))
-            near = (abs(s.u[i] - th.u_star) <= th.interior_rtol * th.u_star
-                    and abs(s.v[i] - th.v_star) <= th.interior_rtol * th.v_star)
+            near = (abs(s.u[i] - th.u_star) <= _INTERIOR_RTOL * th.u_star
+                    and abs(s.v[i] - th.v_star) <= _INTERIOR_RTOL * th.v_star)
         else:
-            near = (trace.sup_u[-1] >= (1.0 - th.interior_rtol) * th.u_star
-                    and trace.sup_v[-1] >= (1.0 - th.interior_rtol) * th.v_star)
+            near = (trace.sup_u[-1] >= (1.0 - _INTERIOR_RTOL) * th.u_star
+                    and trace.sup_v[-1] >= (1.0 - _INTERIOR_RTOL) * th.v_star)
         if near:
             return Classification.SPREADING
     return Classification.UNDECIDED
@@ -133,7 +140,6 @@ def classify(trace: RunTrace, thresholds: AnalysisThresholds) -> Classification:
 class SpeedFit:
     c_hat: float
     stderr: float
-    n_samples: int
 
 
 def front_speed(trace: RunTrace) -> SpeedFit:
@@ -153,14 +159,13 @@ def front_speed(trace: RunTrace) -> SpeedFit:
     sxx = float(np.sum((x - xm) ** 2))
     slope = float(np.sum((x - xm) * (y - ym)) / sxx)
     resid = y - ym - slope * (x - xm)
-    s2 = float(np.sum(resid ** 2)) / (x.size - 2)
-    se = math.sqrt(max(s2, 0.0) / sxx)
     var = float(np.sum(resid ** 2))
+    se = math.sqrt(var / (x.size - 2) / sxx)
     if var > 0.0:
         rho = float(np.sum(resid[1:] * resid[:-1]) / var)
         rho = min(max(rho, 0.0), 0.999)
         se *= math.sqrt((1.0 + rho) / (1.0 - rho))
-    return SpeedFit(c_hat=slope, stderr=se, n_samples=int(x.size))
+    return SpeedFit(c_hat=slope, stderr=se)
 
 
 @dataclass(frozen=True)
@@ -217,16 +222,13 @@ class InteriorFit:
     M_hat: float
     delta_hat: float
     r_squared: float
-    times: np.ndarray
-    errors: np.ndarray
 
 
 def interior_convergence_fit(snapshots: list[Snapshot], eq: Equilibrium,
-                             c1: float, c2: float,
-                             skip_frac: float = 0.25) -> InteriorFit:
+                             c1: float, c2: float) -> InteriorFit:
     """Fit e(t) = sup_{x in [c1 t, c2 t]} max(u*-u, v*-v, 0) to M e^{-delta t}.
 
-    The leading ``skip_frac`` of snapshot times is dropped (pre-asymptotic
+    The leading quarter of snapshot times is dropped (pre-asymptotic
     transient); the window must stay behind the front.
     """
     if not (0.0 < c1 < c2):
@@ -236,7 +238,7 @@ def interior_convergence_fit(snapshots: list[Snapshot], eq: Equilibrium,
     t_last = snapshots[-1].t
     times, errors = [], []
     for s in snapshots:
-        if s.t < skip_frac * t_last:
+        if s.t < 0.25 * t_last:
             continue
         if c2 * s.t > s.h:
             raise EmptyRayWindow(f"c2*t = {c2 * s.t:.3g} ahead of front {s.h:.3g} at t={s.t:.3g}")
@@ -251,15 +253,8 @@ def interior_convergence_fit(snapshots: list[Snapshot], eq: Equilibrium,
     usable = errors > 1e-300
     if int(usable.sum()) < 3:
         raise WindowTooShort("fewer than 3 positive interior errors to fit")
-    x = times[usable]
-    y = np.log(errors[usable])
-    slope, intercept = np.polyfit(x, y, 1)
-    fitted = slope * x + intercept
-    ss_res = float(np.sum((y - fitted) ** 2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 0.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return InteriorFit(M_hat=float(np.exp(intercept)), delta_hat=float(-slope),
-                       r_squared=r2, times=times, errors=errors)
+    slope, intercept, r2 = _log_linear_fit(times[usable], errors[usable])
+    return InteriorFit(M_hat=float(np.exp(intercept)), delta_hat=-slope, r_squared=r2)
 
 
 # ---------------------------------------------------------------------------
@@ -455,39 +450,42 @@ class OutcomeReport:
 def build_outcome_report(trace: RunTrace, thresholds: AnalysisThresholds,
                          c0: float | None = None,
                          profile: SemiWaveProfile | None = None,
-                         eq: Equilibrium | None = None,
-                         ray_fracs: tuple[float, float] = (0.25, 0.5),
-                         dirichlet_window_frac: float = 0.5) -> OutcomeReport:
+                         eq: Equilibrium | None = None) -> OutcomeReport:
     """Assemble the outcome report; estimate fields stay None off-regime.
 
+    Speed and drift stay None when the trace is too short to fit them.
     Front windows follow the boundary operator: the whole domain [0, h] for
-    Neumann, [dirichlet_window_frac * c0 * t, h] for Dirichlet.
+    Neumann, [c0 t / 2, h] for Dirichlet. The interior fit takes the rays
+    [c0 t / 4, c0 t / 2].
     """
     label = classify(trace, thresholds)
     c_hat = stderr = h_star = drift_var = None
     errors: list = []
     interior = None
     if label is Classification.SPREADING:
-        fit = front_speed(trace)
-        c_hat, stderr = fit.c_hat, fit.stderr
-        if c0 is not None:
-            drift = front_drift(trace, c0)
-            h_star, drift_var = drift.h_star_hat, drift.drift_variation
-            if profile is not None:
-                for s in trace.snapshots:
-                    x_lo = 0.0 if thresholds.boundary is BoundaryKind.NEUMANN \
-                        else dirichlet_window_frac * c0 * s.t
-                    if x_lo >= s.h:
-                        continue
-                    errors.append((s.t, profile_error(s, profile, (x_lo, s.h))))
-            if eq is not None and trace.snapshots:
-                try:
-                    ifit = interior_convergence_fit(trace.snapshots, eq,
-                                                    ray_fracs[0] * c0, ray_fracs[1] * c0)
-                    interior = {"M_hat": ifit.M_hat, "delta_hat": ifit.delta_hat,
-                                "r2": ifit.r_squared}
-                except (EmptyRayWindow, WindowTooShort):
-                    interior = None
+        try:
+            fit = front_speed(trace)
+            c_hat, stderr = fit.c_hat, fit.stderr
+            if c0 is not None:
+                drift = front_drift(trace, c0)
+                h_star, drift_var = drift.h_star_hat, drift.drift_variation
+        except WindowTooShort:
+            pass  # too few trailing samples: the estimates stay None
+    if label is Classification.SPREADING and c0 is not None:
+        if profile is not None:
+            for s in trace.snapshots:
+                x_lo = 0.0 if thresholds.boundary is BoundaryKind.NEUMANN \
+                    else 0.5 * c0 * s.t
+                if x_lo >= s.h:
+                    continue
+                errors.append((s.t, profile_error(s, profile, (x_lo, s.h))))
+        if eq is not None and trace.snapshots:
+            try:
+                ifit = interior_convergence_fit(trace.snapshots, eq, 0.25 * c0, 0.5 * c0)
+                interior = {"M_hat": ifit.M_hat, "delta_hat": ifit.delta_hat,
+                            "r2": ifit.r_squared}
+            except (EmptyRayWindow, WindowTooShort):
+                interior = None
     return OutcomeReport(
         classification=label,
         c_hat=c_hat,

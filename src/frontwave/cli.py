@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -27,7 +26,7 @@ from .config import (
     build_stop,
     sweep_cells,
 )
-from .errors import ModelRegimeError, NoPositiveRoot, SolverError
+from .errors import FrontwaveError, ModelRegimeError, NoPositiveRoot, SolverError
 from ._format import fmt, json_dumps, write_csv
 
 EXIT_OK = 0
@@ -58,22 +57,27 @@ def _write_manifest(outdir: str, names: list, seedless: bool, failed: bool) -> N
         "seedless": seedless,
         "files": [_file_entry(outdir, n) for n in names],
     }
-    with open(os.path.join(outdir, "manifest.json"), "w", newline="\n") as fh:
-        fh.write(json_dumps(manifest))
+    _write_text(outdir, "manifest.json", json_dumps(manifest))
 
 
-def _speed_summary(cfg: RunConfig) -> dict:
+def _write_text(outdir: str, name: str, text: str) -> None:
+    with open(os.path.join(outdir, name), "w", newline="\n") as fh:
+        fh.write(text)
+
+
+def cmd_speeds(cfg: RunConfig, outdir: str, args) -> list:
     nl = build_nonlinearity(cfg)
     params = build_params(cfg)
+    num = build_semiwave_numerics(cfg)
     r0 = model.compute_R0(nl, params)
     if r0 <= 1.0:
         raise NoPositiveRoot(f"R0 = {fmt(r0)} <= 1: spreading regime required")
     eq = model.compute_equilibrium(nl, params)
     l0 = model.compute_l0(nl, params)
-    pair, _profile = semiwave.find_c0(nl, params, build_semiwave_numerics(cfg))
+    pair, _profile = semiwave.find_c0(nl, params, num, eq)
     beta0, _ = semiwave.decay_rate_theoretical(nl, params, 0.0, eq)
     beta_c0, _ = semiwave.decay_rate_theoretical(nl, params, pair.c0, eq)
-    return {
+    text = json_dumps({
         "R0": r0,
         "u_star": eq.u_star,
         "v_star": eq.v_star,
@@ -84,91 +88,66 @@ def _speed_summary(cfg: RunConfig) -> dict:
         "F_residual": pair.F_residual,
         "beta": beta_c0,
         "beta0": beta0,
-    }
-
-
-def cmd_speeds(args) -> int:
-    cfg = RunConfig.load(args.config)
-    outdir = _outdir(cfg, args)
-    text = json_dumps(_speed_summary(cfg))
-    with open(os.path.join(outdir, "speeds.json"), "w", newline="\n") as fh:
-        fh.write(text)
+    })
+    _write_text(outdir, "speeds.json", text)
     sys.stdout.write(text)
-    _write_manifest(outdir, ["speeds.json"], args.seedless, failed=False)
-    return EXIT_OK
+    return ["speeds.json"]
 
 
-def cmd_semiwave(args) -> int:
-    cfg = RunConfig.load(args.config)
-    outdir = _outdir(cfg, args)
+def cmd_semiwave(cfg: RunConfig, outdir: str, args) -> list:
     nl = build_nonlinearity(cfg)
     params = build_params(cfg)
     num = build_semiwave_numerics(cfg)
-    c_req = cfg.getfloat("semiwave.c")
-    if c_req is None:
+    c = cfg.getfloat("semiwave.c")
+    if c is None:
         pair, profile = semiwave.find_c0(nl, params, num)
-        c_used = pair.c0
+        c = pair.c0
     else:
-        profile = semiwave.solve_semiwave(c_req, nl, params, num)
-        c_used = c_req
+        profile = semiwave.solve_semiwave(c, nl, params, num)
     profile.to_csv(os.path.join(outdir, "profile.csv"))
-    summary = {
-        "c": c_used,
+    _write_text(outdir, "semiwave.json", json_dumps({
+        "c": c,
         "slope0_phi": profile.slope0_phi,
         "slope0_psi": profile.slope0_psi,
         "residual_inf": profile.residual_inf,
         "x_max": profile.x_max,
-    }
-    with open(os.path.join(outdir, "semiwave.json"), "w", newline="\n") as fh:
-        fh.write(json_dumps(summary))
-    _write_manifest(outdir, ["profile.csv", "semiwave.json"], args.seedless, failed=False)
-    return EXIT_OK
+    }))
+    return ["profile.csv", "semiwave.json"]
 
 
-def _thresholds_for(cfg: RunConfig, nl, params, init) -> analysis.AnalysisThresholds:
-    r0 = model.compute_R0(nl, params)
-    if r0 > 1.0:
-        eq = model.compute_equilibrium(nl, params)
-        return analysis.AnalysisThresholds.from_model(nl, params, eq, init.h0)
-    # below threshold nothing can spread; the front goal is unreachable
-    return analysis.AnalysisThresholds(l0=math.inf, u_star=1.0, v_star=1.0,
-                                       h0=init.h0, boundary=params.boundary)
+def _outcome(cfg: RunConfig, with_c0: bool) -> tuple:
+    """Simulate one config and classify it: (params, trace, report).
 
-
-def cmd_simulate(args) -> int:
-    cfg = RunConfig.load(args.config)
-    outdir = _outdir(cfg, args)
+    ``with_c0`` adds the free-boundary speed c0 and its profile, from which
+    the report gains the drift, profile-error and interior-fit estimates.
+    """
     nl = build_nonlinearity(cfg)
     params = build_params(cfg)
     init = build_initial_data(cfg)
     numerics = build_solver_numerics(cfg)
     stop = build_stop(cfg)
-    thresholds = _thresholds_for(cfg, nl, params, init)
+    sw_numerics = build_semiwave_numerics(cfg)
+    eq = None
+    if model.compute_R0(nl, params) > 1.0:
+        eq = model.compute_equilibrium(nl, params)
+    thresholds = analysis.AnalysisThresholds.from_model(nl, params, eq, init.h0)
+    trace = fbsolver.simulate(params, nl, init, numerics, stop)
+    c0 = profile = None
+    if with_c0 and eq is not None and params.mu1 + params.mu2 > 0.0:
+        pair, profile = semiwave.find_c0(nl, params, sw_numerics, eq)
+        c0 = pair.c0
+    report = analysis.build_outcome_report(trace, thresholds, c0=c0, profile=profile, eq=eq)
+    return params, trace, report
 
-    try:
-        trace = fbsolver.simulate(params, nl, init, numerics, stop)
-        c0 = profile = eq = None
-        if model.compute_R0(nl, params) > 1.0 and params.mu1 + params.mu2 > 0.0:
-            eq = model.compute_equilibrium(nl, params)
-            pair, profile = semiwave.find_c0(nl, params, build_semiwave_numerics(cfg))
-            c0 = pair.c0
-        report = analysis.build_outcome_report(trace, thresholds, c0=c0,
-                                               profile=profile, eq=eq)
-    except SolverError as exc:
-        with open(os.path.join(outdir, "FAILED"), "w", newline="\n") as fh:
-            fh.write(f"{type(exc).__name__}: {exc}\n")
-        _write_manifest(outdir, ["FAILED"], args.seedless, failed=True)
-        sys.stderr.write(f"frontwave: solver failure: {exc}\n")
-        return EXIT_SOLVER
 
+def cmd_simulate(cfg: RunConfig, outdir: str, args) -> list:
+    _, trace, report = _outcome(cfg, with_c0=True)
     trace.to_csv(os.path.join(outdir, "trace.csv"))
     trace.snapshots_to_csv(os.path.join(outdir, "snapshots.csv"))
-    with open(os.path.join(outdir, "report.json"), "w", newline="\n") as fh:
-        fh.write(report.to_json())
-    _write_manifest(outdir, ["trace.csv", "snapshots.csv", "report.json"],
-                    args.seedless, failed=False)
-    sys.stdout.write(report.to_json())
-    return EXIT_OK
+    text = report.to_json()
+    _write_text(outdir, "report.json", text)
+    sys.stdout.write(text)
+    return ["trace.csv", "snapshots.csv", "report.json"]
 
 
 _SWEEP_HEADER = ("index", "h0", "amplitude", "mu1", "mu2",
@@ -179,32 +158,23 @@ def _sweep_cell(payload) -> tuple:
     index, entries, mapping = payload
     cfg = RunConfig(entries=entries).override(mapping)
     try:
-        nl = build_nonlinearity(cfg)
-        params = build_params(cfg)
-        init = build_initial_data(cfg)
-        trace = fbsolver.simulate(params, nl, init, build_solver_numerics(cfg),
-                                  build_stop(cfg))
-        thresholds = _thresholds_for(cfg, nl, params, init)
-        label = analysis.classify(trace, thresholds)
-        c_hat = stderr = ""
-        if label is analysis.Classification.SPREADING:
-            fit = analysis.front_speed(trace)
-            c_hat, stderr = fmt(fit.c_hat), fmt(fit.stderr)
-        return (fmt(index), fmt(init.h0), cfg.get("init.amplitude", "0.5"),
-                fmt(params.mu1), fmt(params.mu2), label.value, c_hat, stderr,
-                fmt(trace.h[-1]), fmt(trace.sup_u[-1] + trace.sup_v[-1]), "ok")
-    except Exception as exc:  # per-cell failures recorded; the sweep continues
-        cfg_h0 = cfg.get("init.h0", "")
-        return (fmt(index), cfg_h0, cfg.get("init.amplitude", ""),
+        params, trace, report = _outcome(cfg, with_c0=False)
+    except (FrontwaveError, ValueError) as exc:  # per-cell failures recorded; the sweep continues
+        return (fmt(index), cfg.get("init.h0", ""), cfg.get("init.amplitude", ""),
                 cfg.get("model.mu1", ""), cfg.get("model.mu2", ""),
                 "", "", "", "", "", f"{type(exc).__name__}: {exc}")
+    c_hat = "" if report.c_hat is None else fmt(report.c_hat)
+    stderr = "" if report.c_hat_stderr is None else fmt(report.c_hat_stderr)
+    return (fmt(index), fmt(trace.h0), cfg.get("init.amplitude", "0.5"),
+            fmt(params.mu1), fmt(params.mu2), report.classification.value, c_hat, stderr,
+            fmt(trace.h[-1]), fmt(trace.sup_u[-1] + trace.sup_v[-1]), "ok")
 
 
-def cmd_sweep(args) -> int:
-    cfg = RunConfig.load(args.config)
-    outdir = _outdir(cfg, args)
-    cells = sweep_cells(cfg)
-    payloads = [(i, cfg.entries, mapping) for i, mapping in enumerate(cells)]
+def cmd_sweep(cfg: RunConfig, outdir: str, args) -> list:
+    # the axes never touch numerics or stop: reject bad ones before fanning out
+    build_solver_numerics(cfg)
+    build_stop(cfg)
+    payloads = [(i, cfg.entries, mapping) for i, mapping in enumerate(sweep_cells(cfg))]
     workers = max(1, args.workers)
     if workers == 1:
         rows = [_sweep_cell(p) for p in payloads]
@@ -212,12 +182,10 @@ def cmd_sweep(args) -> int:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_cell, payloads))  # input order, not completion order
     write_csv(os.path.join(outdir, "outcomes.csv"), _SWEEP_HEADER, rows)
-    _write_manifest(outdir, ["outcomes.csv"], args.seedless, failed=False)
-    return EXIT_OK
+    return ["outcomes.csv"]
 
 
-def cmd_check(args) -> int:
-    cfg = RunConfig.load(args.config)
+def cmd_check(cfg: RunConfig) -> int:
     nl = build_nonlinearity(cfg)
     params = build_params(cfg)
     report = model.check_hypotheses(nl, params, z_max=100.0)
@@ -263,10 +231,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run(args) -> int:
+    """Load the config; every command but check writes its files and a manifest.
+
+    A solver failure leaves a FAILED marker and a failed manifest instead.
+    """
+    cfg = RunConfig.load(args.config)
+    if args.func is cmd_check:
+        return cmd_check(cfg)
+    outdir = _outdir(cfg, args)
+    try:
+        names = args.func(cfg, outdir, args)
+    except SolverError as exc:
+        _write_text(outdir, "FAILED", f"{type(exc).__name__}: {exc}\n")
+        _write_manifest(outdir, ["FAILED"], args.seedless, failed=True)
+        raise
+    _write_manifest(outdir, names, args.seedless, failed=False)
+    return EXIT_OK
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return _run(args)
     except (ModelRegimeError, ConfigError, ValueError) as exc:
         sys.stderr.write(f"frontwave: {type(exc).__name__}: {exc}\n")
         return EXIT_MODEL

@@ -10,6 +10,7 @@ unchanged. The full schema lives in docs/config.md.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -206,32 +207,19 @@ def build_stop(cfg: RunConfig) -> StopRule:
     )
 
 
+# sweep axis -> the keys each of its values sets (the mu ladder moves both)
+_SWEEP_AXES = (
+    ("sweep.h0", ("init.h0",)),
+    ("sweep.amplitude", ("init.amplitude",)),
+    ("sweep.mu", ("model.mu1", "model.mu2")),
+)
+
+
 def sweep_cells(cfg: RunConfig) -> list[dict]:
     """Cross product of the sweep axes; each cell is an override mapping."""
     axes = []
-    h0s = cfg.getfloats("sweep.h0")
-    if h0s:
-        axes.append([("init.h0", v) for v in h0s])
-    amps = cfg.getfloats("sweep.amplitude")
-    if amps:
-        axes.append([("init.amplitude", v) for v in amps])
-    mus = cfg.getfloats("sweep.mu")
-    if mus:
-        axes.append([("model.mu", v) for v in mus])
-    if not axes:
-        axes.append([(None, None)])
-    cells = [{}]
-    for axis in axes:
-        cells = [dict(cell, **({} if key is None else {key: val}))
-                 for cell in cells for key, val in axis]
-    out = []
-    for cell in cells:
-        mapping = {}
-        for key, val in cell.items():
-            if key == "model.mu":  # shorthand: ladder moves both coefficients
-                mapping["model.mu1"] = fmt(val)
-                mapping["model.mu2"] = fmt(val)
-            else:
-                mapping[key] = fmt(val)
-        out.append(mapping)
-    return out
+    for axis, keys in _SWEEP_AXES:
+        values = cfg.getfloats(axis)
+        if values:
+            axes.append([{key: fmt(v) for key in keys} for v in values])
+    return [{k: v for part in cell for k, v in part.items()} for cell in product(*axes)]

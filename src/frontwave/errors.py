@@ -20,9 +20,9 @@ class ModelRegimeError(FrontwaveError):
 class NonCompliant(ModelRegimeError):
     """A structural hypothesis on (H, G) failed on the sampled grid."""
 
-    def __init__(self, clause: str, detail: str = ""):
+    def __init__(self, clause: str):
         self.clause = clause
-        super().__init__(f"hypothesis clause failed: {clause}" + (f" ({detail})" if detail else ""))
+        super().__init__(f"hypothesis clause failed: {clause}")
 
 
 class NoPositiveRoot(ModelRegimeError):
@@ -73,10 +73,6 @@ class NoSignChange(SolverError):
 
 class NotPositive(SolverError):
     """Half-line steady solve collapsed to the trivial zero state."""
-
-
-class DegenerateFront(SolverError):
-    """Front too close to the origin for the immobilized grid to resolve."""
 
 
 class NegativeSpeed(SolverError):

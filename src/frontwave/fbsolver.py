@@ -7,14 +7,15 @@ xi = x / h(t), turning the system into
     v_t = (d2/h^2) v_xixi + (xi h'/h) v_xi - b v + G(u),
     h'  = -(mu1 u_xi(1) + mu2 v_xi(1)) / h,
 
-with u = v = 0 at xi = 1 and the configured operator at xi = 0. One step:
-Stefan flux from the current state (3-point one-sided stencil, the same
-stencil the semi-wave slope extraction uses, so simulated and semi-wave
-speeds share discretization bias), explicit front update, explicit
-advection + reaction, implicit diffusion (one tridiagonal solve per
-component, evaluated on the advanced front). Neumann at xi = 0 enters by
-ghost-node reflection. Time step obeys dt <= cfl * dxi * h / (|h'| + c_adv),
-capped at dt_cap.
+with u = v = 0 at xi = 1 and the configured operator at xi = 0. One step
+of the kernel (_Stepper.advance): Stefan flux from the current state
+(model._one_sided_slope on the reversed fields, the stencil the semi-wave
+slope extraction uses, so simulated and semi-wave speeds share
+discretization bias), explicit front update, explicit advection +
+reaction, implicit diffusion (one tridiagonal solve per component,
+evaluated on the advanced front). Neumann at xi = 0 enters by ghost-node
+reflection. Time step obeys dt <= cfl * dxi * h / (|h'| + c_adv), capped
+at dt_cap.
 
 Runs are bit-reproducible: no stochastic elements anywhere.
 """
@@ -27,29 +28,31 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .errors import (
-    DegenerateFront,
-    NegativeSpeed,
-    NonFinite,
-    StabilityViolation,
+from .errors import NegativeSpeed, NonFinite, StabilityViolation
+from .model import (
+    BoundaryKind,
+    InitialData,
+    ModelParams,
+    Nonlinearity,
+    _one_sided_slope,
+    validate_initial_data,
 )
-from .model import BoundaryKind, InitialData, ModelParams, Nonlinearity, validate_initial_data
 from ._format import write_csv
 
 __all__ = [
     "SolverNumerics",
     "StopRule",
-    "FreeBoundaryState",
-    "ImmobilizedCoefficients",
     "Snapshot",
     "RunTrace",
-    "immobilize",
-    "stefan_flux",
-    "step",
     "simulate",
 ]
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
+
+# vanishing: total sup-norm u + v under VANISH_SUP for VANISH_SUSTAIN time
+# units; the stop rule here and analysis.classify share these values
+VANISH_SUP = 1e-6
+VANISH_SUSTAIN = 1.0
 
 
 @dataclass(frozen=True)
@@ -62,37 +65,24 @@ class SolverNumerics:
     trace_cadence: float = 0.1
     snapshot_times: tuple = ()
 
+    def __post_init__(self):
+        # written as not (...) so that NaN fails too; a zero step or cadence
+        # would never advance the clock or the next trace sample
+        if not (self.n >= 2 and 0 < self.dt_cap < math.inf and 0 < self.cfl < math.inf
+                and 0 < self.trace_cadence < math.inf and 0 <= self.c_adv < math.inf):
+            raise ValueError("solver numerics need n >= 2, c_adv >= 0 and positive finite "
+                             "dt_cap, cfl and trace cadence")
+
 
 @dataclass(frozen=True)
 class StopRule:
     t_end: float
     x_budget: float = math.inf
-    vanish_sup: float = 1e-6
-    vanish_sustain: float = 1.0
+    vanish_sup: float = VANISH_SUP
 
-
-@dataclass(frozen=True)
-class FreeBoundaryState:
-    """Fields on the immobilized grid xi_i = i/N; physical x = xi * h."""
-
-    t: float
-    h: float
-    h_prime: float
-    u: np.ndarray
-    v: np.ndarray
-
-    @property
-    def xi(self) -> np.ndarray:
-        return np.linspace(0.0, 1.0, self.u.size)
-
-
-@dataclass(frozen=True)
-class ImmobilizedCoefficients:
-    """Coefficient fields of the fixed-domain form of the equations."""
-
-    diff_u: float        # d1 / h^2
-    diff_v: float        # d2 / h^2
-    adv: np.ndarray      # xi * h' / h
+    def __post_init__(self):
+        if not 0 < self.t_end < math.inf:
+            raise ValueError("t_end must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -128,39 +118,18 @@ class RunTrace:
         write_csv(path, ("t", "x", "u", "v"), rows())
 
 
-def immobilize(state: FreeBoundaryState, params: ModelParams,
-               dx_physical: float | None = None) -> ImmobilizedCoefficients:
-    """Coefficients of the immobilized equations at the given state.
-
-    With h = 1 and h' = 0 these reduce to the physical ones. The guard fires
-    when the domain is thinner than ten initial grid spacings.
-    """
-    if state.h <= 0:
-        raise DegenerateFront("front at or behind the origin")
-    if dx_physical is not None and state.h <= 10.0 * dx_physical:
-        raise DegenerateFront(f"h={state.h:.3e} under 10 grid spacings")
-    h2 = state.h * state.h
-    return ImmobilizedCoefficients(
-        diff_u=params.d1 / h2,
-        diff_v=params.d2 / h2,
-        adv=state.xi * (state.h_prime / state.h),
-    )
-
-
 def _flux(u: np.ndarray, v: np.ndarray, h: float, dxi: float, params: ModelParams) -> float:
-    # second-order one-sided xi-derivative at the front, divided by h
-    du = (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * dxi)
-    dv = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * dxi)
+    """Front speed h' = -(mu1 u_xi(1) + mu2 v_xi(1)) / h.
+
+    The xi-derivative at the front is the negated left-end slope of the
+    reversed field, bit for bit the backward 3-point stencil.
+    """
+    du = -_one_sided_slope(u[::-1], dxi)
+    dv = -_one_sided_slope(v[::-1], dxi)
     hp = -(params.mu1 * du + params.mu2 * dv) / h
     if hp < -1e-12:
         raise NegativeSpeed(f"h'={hp:.3e} at the front")
     return max(hp, 0.0)  # roundoff guard keeps h nondecreasing
-
-
-def stefan_flux(state: FreeBoundaryState, params: ModelParams) -> float:
-    """Front speed h' = -mu1 u_x - mu2 v_x evaluated at x = h."""
-    dxi = 1.0 / (state.u.size - 1)
-    return _flux(state.u, state.v, state.h, dxi, params)
 
 
 class _Stepper:
@@ -169,7 +138,6 @@ class _Stepper:
     def __init__(self, params: ModelParams, nl: Nonlinearity, n: int):
         self.params = params
         self.nl = nl
-        self.n = n
         self.xi = np.linspace(0.0, 1.0, n + 1)
         self.dxi = 1.0 / n
         self.ab = np.zeros((3, n + 1))
@@ -224,14 +192,6 @@ class _Stepper:
         return u_new, v_new, h_new, hp
 
 
-def step(state: FreeBoundaryState, params: ModelParams, nl: Nonlinearity,
-         dt: float) -> FreeBoundaryState:
-    """One IMEX step from the given state (fresh stepper; simulate is faster)."""
-    stepper = _Stepper(params, nl, state.u.size - 1)
-    u, v, h, hp = stepper.advance(state.u.copy(), state.v.copy(), state.h, dt)
-    return FreeBoundaryState(t=state.t + dt, h=h, h_prime=hp, u=u, v=v)
-
-
 def _resample(init: InitialData, x_grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if init.x.size == x_grid.size and np.allclose(init.x, x_grid, rtol=0.0, atol=1e-12):
         return init.u0.copy(), init.v0.copy()
@@ -240,20 +200,18 @@ def _resample(init: InitialData, x_grid: np.ndarray) -> tuple[np.ndarray, np.nda
 
 def simulate(params: ModelParams, nl: Nonlinearity, init: InitialData,
              numerics: SolverNumerics | None = None,
-             stop: StopRule | None = None,
-             validate: bool = True) -> RunTrace:
+             stop: StopRule | None = None) -> RunTrace:
     """Run the stepper until the stop rule fires; deterministic per config.
 
     Stops at t_end, when the front exceeds the budget, or once the total
-    sup-norm stays under the vanishing threshold for the sustain window.
-    ``validate=False`` admits degenerate data (identically zero tests).
+    sup-norm stays under the vanishing threshold for VANISH_SUSTAIN.
+    Initial data must pass validate_initial_data.
     """
     num = numerics or SolverNumerics()
     stop = stop or StopRule(t_end=10.0)
-    if validate:
-        report = validate_initial_data(init, params)
-        if not report.passed:
-            raise ValueError(f"inadmissible initial data: {report.violations}")
+    report = validate_initial_data(init, params)
+    if not report.passed:
+        raise ValueError(f"inadmissible initial data: {report.violations}")
 
     stepper = _Stepper(params, nl, num.n)
     h = float(init.h0)
@@ -297,7 +255,7 @@ def simulate(params: ModelParams, nl: Nonlinearity, init: InitialData,
             if vanish_t0 is None:
                 vanish_t0 = t
             # one extra cadence so the *sampled* stretch also spans the window
-            elif t - vanish_t0 >= stop.vanish_sustain + num.trace_cadence:
+            elif t - vanish_t0 >= VANISH_SUSTAIN + num.trace_cadence:
                 stop_reason = "vanishing"
         else:
             vanish_t0 = None

@@ -25,6 +25,7 @@ from enum import Enum
 from typing import Callable
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .errors import (
     BracketingFailure,
@@ -79,7 +80,6 @@ class Nonlinearity:
     dG: Callable
     d2H: Callable
     d2G: Callable
-    params: tuple = ()
     weak_h: bool = False
     weak_g: bool = False
 
@@ -90,8 +90,8 @@ def saturating(hp: float = 2.0, hq: float = 1.0, gp: float = 2.0, gq: float = 1.
     The package default; hp=gp=2, hq=gq=1 with a=b=1 is the symmetric
     benchmark scenario (equilibrium at (1,1), R0=4).
     """
-    if min(hp, gp) <= 0 or min(hq, gq) <= 0:
-        raise ValueError("saturating pair needs positive coefficients")
+    if not all(0 < x < math.inf for x in (hp, hq, gp, gq)):
+        raise ValueError("saturating pair needs positive finite coefficients")
     return Nonlinearity(
         name="saturating",
         H=lambda z: hp * z / (1.0 + hq * z),
@@ -100,7 +100,6 @@ def saturating(hp: float = 2.0, hq: float = 1.0, gp: float = 2.0, gq: float = 1.
         dG=lambda z: gp / (1.0 + gq * z) ** 2,
         d2H=lambda z: -2.0 * hp * hq / (1.0 + hq * z) ** 3,
         d2G=lambda z: -2.0 * gp * gq / (1.0 + gq * z) ** 3,
-        params=(("hp", hp), ("hq", hq), ("gp", gp), ("gq", gq)),
     )
 
 
@@ -110,8 +109,8 @@ def cholera(c: float = 1.0, gp: float = 2.0, gq: float = 1.0) -> Nonlinearity:
     H'' is identically zero, so the pair only weakly satisfies the structure
     hypotheses; the report records this and downstream callers decide.
     """
-    if c <= 0 or gp <= 0 or gq <= 0:
-        raise ValueError("cholera variant needs positive coefficients")
+    if not all(0 < x < math.inf for x in (c, gp, gq)):
+        raise ValueError("cholera variant needs positive finite coefficients")
     return Nonlinearity(
         name="cholera",
         H=lambda z: c * np.asarray(z, dtype=float) * 1.0,
@@ -120,7 +119,6 @@ def cholera(c: float = 1.0, gp: float = 2.0, gq: float = 1.0) -> Nonlinearity:
         dG=lambda z: gp / (1.0 + gq * z) ** 2,
         d2H=lambda z: np.zeros_like(np.asarray(z, dtype=float)),
         d2G=lambda z: -2.0 * gp * gq / (1.0 + gq * z) ** 3,
-        params=(("c", c), ("gp", gp), ("gq", gq)),
         weak_h=True,
     )
 
@@ -144,11 +142,12 @@ class ModelParams:
     boundary: BoundaryKind = BoundaryKind.NEUMANN
 
     def __post_init__(self):
+        # written as not (...) so that NaN fails too
         for name in ("d1", "d2", "a", "b"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
-        if self.mu1 < 0 or self.mu2 < 0:
-            raise ValueError("Stefan coefficients must be nonnegative")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be strictly positive and finite")
+        if not (0 <= self.mu1 < math.inf and 0 <= self.mu2 < math.inf):
+            raise ValueError("Stefan coefficients must be nonnegative and finite")
         object.__setattr__(self, "boundary", BoundaryKind(self.boundary))
 
 
@@ -243,9 +242,8 @@ class HypothesisReport:
             raise NonCompliant(self.failures[0])
 
 
-def check_hypotheses(nl: Nonlinearity, params: ModelParams, z_max: float,
-                     n_samples: int = 512) -> HypothesisReport:
-    """Verify the structure hypotheses on a log-spaced sample of [1e-8, z_max].
+def check_hypotheses(nl: Nonlinearity, params: ModelParams, z_max: float) -> HypothesisReport:
+    """Verify the structure hypotheses on 512 log-spaced samples of [1e-8, z_max].
 
     Sampled, not symbolic: nonlinearities are supplied as callables. Records
     the extreme derivative values seen and the smallest sampled z with
@@ -253,7 +251,7 @@ def check_hypotheses(nl: Nonlinearity, params: ModelParams, z_max: float,
     """
     if z_max <= 0:
         raise ValueError("z_max must be positive")
-    z = np.geomspace(1e-8, z_max, n_samples)
+    z = np.geomspace(1e-8, z_max, 512)
 
     h0 = float(nl.H(0.0))
     g0 = float(nl.G(0.0))
@@ -302,12 +300,12 @@ def compute_R0(nl: Nonlinearity, params: ModelParams) -> float:
 
 
 def compute_equilibrium(nl: Nonlinearity, params: ModelParams) -> Equilibrium:
-    """Positive root of a*u = H(v), b*v = G(u) by bracketed bisection.
+    """Positive root of a*u = H(v), b*v = G(u) by Brent's method.
 
     Scalar root-find on g(v) = b*v - G(H(v)/a): negative near 0 when R0 > 1,
-    positive for large v by the saturation clause. Bracket grows by doubling
-    from [eps, 1]; bisection runs to absolute width 1e-14 (or 4 ulp), then a
-    few secant polish steps. Both residuals come out <= 1e-12 relative.
+    positive for large v by the saturation clause. The bracket grows by
+    doubling from [eps, 1]; brentq then runs to a few ulp of v*. Both
+    residuals come out <= 1e-12 relative.
     """
     a, b = params.a, params.b
     if compute_R0(nl, params) <= 1.0:
@@ -330,25 +328,7 @@ def compute_equilibrium(nl: Nonlinearity, params: ModelParams) -> Equilibrium:
         if doublings > 200:
             raise BracketingFailure("bracket expansion exhausted without sign change")
 
-    while hi - lo > max(1e-14, 4.0 * np.spacing(hi)):
-        mid = 0.5 * (lo + hi)
-        if g(mid) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    v = 0.5 * (lo + hi)
-
-    for _ in range(3):  # secant polish; bisection already near machine width
-        gv = g(v)
-        dv = 1e-7 * max(1.0, abs(v))
-        slope = (g(v + dv) - gv) / dv
-        if slope == 0.0 or not math.isfinite(slope):
-            break
-        step = gv / slope
-        if abs(step) > abs(hi - lo):
-            break
-        v -= step
-
+    v = brentq(g, lo, hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
     u = float(nl.H(v)) / a
     res_u = abs(a * u - float(nl.H(v))) / max(abs(a * u), 1e-300)
     res_v = abs(b * v - float(nl.G(u))) / max(abs(b * v), 1e-300)
@@ -387,9 +367,12 @@ class ValidationReport:
     violations: tuple  # of (component, clause, node_index)
 
 
-def _one_sided_slope(x: np.ndarray, w: np.ndarray) -> float:
-    # second-order 3-point stencil at the left end; requires near-uniform spacing there
-    dx = x[1] - x[0]
+def _one_sided_slope(w: np.ndarray, dx: float) -> float:
+    """Second-order 3-point slope at the left end of w (spacing dx there).
+
+    The one stencil of the package: initial-data checks, semi-wave slopes
+    and, on the reversed fields, the Stefan flux at the front.
+    """
     return float((-3.0 * w[0] + 4.0 * w[1] - w[2]) / (2.0 * dx))
 
 
@@ -401,8 +384,6 @@ def validate_initial_data(init: InitialData, params: ModelParams) -> ValidationR
     checked to 1e-12 of the data scale (sampled analytic shapes leave
     roundoff-level residue at the endpoints).
     """
-    if init.x.size < 3:
-        raise ValueError("initial data needs at least 3 sample nodes")
     violations = []
     for name, w in (("u0", init.u0), ("v0", init.v0)):
         scale = float(np.max(np.abs(w))) or 1.0
@@ -413,7 +394,7 @@ def validate_initial_data(init: InitialData, params: ModelParams) -> ValidationR
         bad = np.where(w[interior] <= 0.0)[0]
         if bad.size:
             violations.append((name, "interior_positive", int(bad[0]) + 1))
-        slope0 = _one_sided_slope(init.x, w)
+        slope0 = _one_sided_slope(w, init.x[1] - init.x[0])
         if params.boundary is BoundaryKind.DIRICHLET:
             if abs(w[0]) > tol:
                 violations.append((name, "value_at_0", 0))

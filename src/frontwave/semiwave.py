@@ -21,7 +21,7 @@ which has a unique strictly increasing solution for every speed c in
 
 * c0: the unique root in (0, c*) of F(c) = mu1*phi_c'(0) + mu2*psi_c'(0) - c.
   F(0) > 0 since the slopes are positive; a ladder of profile solves
-  brackets the sign change, bisection finishes.
+  brackets the sign change, Brent's method (brentq) finishes.
 
 * beta(c): the tail rate in (u* - phi, v* - psi) ~ e^{-beta x} (p, q).
   Linearizing at (u*, v*) gives (d1 b^2 + c b - a)(d2 b^2 + c b - b) =
@@ -38,7 +38,7 @@ discretized steady system (second-order central differences, hard pin to
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -54,7 +54,14 @@ from .errors import (
     SpeedOutOfRange,
     TailUnderflow,
 )
-from .model import Equilibrium, ModelParams, Nonlinearity, compute_equilibrium, compute_R0
+from .model import (
+    Equilibrium,
+    ModelParams,
+    Nonlinearity,
+    _one_sided_slope,
+    compute_equilibrium,
+    compute_R0,
+)
 from ._format import write_csv
 
 __all__ = [
@@ -74,21 +81,21 @@ __all__ = [
 # profile values this close to saturation are below double-precision
 # resolution of u* - phi; strictness checks skip them
 _SATURATION_TOL = 1e-12
+_RESIDUAL_TOL = 1e-8            # sup steady residual a profile must reach
+_RELAX_DT = 0.25
+_RELAX_RATE_TOL = 1e-10         # sup time-derivative per unit pseudo-time
+_MAX_RELAX_STEPS = 40_000
+_MAX_NEWTON = 12
+_LADDER = 32                    # speed samples bracketing the c0 sign change
+_C_MAX_FRAC = 0.999             # the ladder's top speed, as a fraction of c*
 
 
 @dataclass(frozen=True)
 class SemiwaveNumerics:
     dx: float = 0.02
     x_max: float | None = None      # None: max(40, 12/beta), rounded to the grid
-    residual_tol: float = 1e-8
-    relax_dt: float = 0.25
-    relax_rate_tol: float = 1e-10   # sup time-derivative per unit pseudo-time
-    max_relax_steps: int = 40_000
-    max_newton: int = 12
-    ladder: int = 32                # speed samples bracketing the c0 sign change
-    c_tol: float = 1e-9
-    f_tol: float = 1e-8
-    c_max_frac: float = 0.999
+    c_tol: float = 1e-9             # brentq tolerance on c0
+    f_tol: float = 1e-8             # bound on |F(c0)|
 
 
 @dataclass(frozen=True)
@@ -130,7 +137,6 @@ class SpeedPair:
 class DecayFit:
     alpha: float
     r_squared: float
-    n_points: int
 
 
 # ---------------------------------------------------------------------------
@@ -252,15 +258,15 @@ def _implicit_operator(n, kappa, gamma, decay, dt):
     return ab
 
 
-def _relax(phi, psi, c, nl, params, dx, num: SemiwaveNumerics, u_star, v_star):
+def _relax(phi, psi, c, nl, params, dx, u_star, v_star):
     n = phi.size
-    dt = num.relax_dt
+    dt = _RELAX_DT
     kap1 = params.d1 / (dx * dx)
     kap2 = params.d2 / (dx * dx)
     gam = c / (2.0 * dx)
     ab1 = _implicit_operator(n, kap1, gam, params.a, dt)
     ab2 = _implicit_operator(n, kap2, gam, params.b, dt)
-    for _ in range(num.max_relax_steps):
+    for _ in range(_MAX_RELAX_STEPS):
         rhs = phi / dt + nl.H(psi)
         rhs[0], rhs[-1] = 0.0, u_star
         phi_new = solve_banded((1, 1), ab1, rhs)
@@ -270,32 +276,29 @@ def _relax(phi, psi, c, nl, params, dx, num: SemiwaveNumerics, u_star, v_star):
         rate = max(np.max(np.abs(phi_new - phi)), np.max(np.abs(psi_new - psi))) / dt
         phi, psi = phi_new, psi_new
         if not np.isfinite(rate):
-            raise NoConvergence(num.max_relax_steps, "relaxation diverged")
-        if rate < num.relax_rate_tol:
+            raise NoConvergence(_MAX_RELAX_STEPS, "relaxation diverged")
+        if rate < _RELAX_RATE_TOL:
             break
     return phi, psi
 
 
-def _newton_polish(phi, psi, c, nl, params, dx, num: SemiwaveNumerics):
+def _newton_polish(phi, psi, c, nl, params, dx):
     n = phi.size
     m = n - 2  # interior nodes
     d1, d2, a, b = params.d1, params.d2, params.a, params.b
     kap1, kap2 = d1 / (dx * dx), d2 / (dx * dx)
     gam = c / (2.0 * dx)
 
-    def resid_norm(p, q):
-        r1, r2 = _steady_residual(p, q, c, nl, params, dx)
-        return max(np.max(np.abs(r1)), np.max(np.abs(r2)))
+    def residual(p, q):
+        """Interleaved (phi, psi) residual, the Newton row order, and its sup."""
+        r = np.empty(2 * m)
+        r[0::2], r[1::2] = _steady_residual(p, q, c, nl, params, dx)
+        return r, float(np.max(np.abs(r)))
 
-    res = resid_norm(phi, psi)
-    for _ in range(num.max_newton):
+    r, res = residual(phi, psi)
+    for _ in range(_MAX_NEWTON):
         if res <= 1e-13:
             break
-        r1, r2 = _steady_residual(phi, psi, c, nl, params, dx)
-        rhs = np.empty(2 * m)
-        rhs[0::2] = -r1
-        rhs[1::2] = -r2
-
         ab = np.zeros((5, 2 * m))
         ab[2, 0::2] = -2.0 * kap1 - a                    # phi diagonal
         ab[2, 1::2] = -2.0 * kap2 - b                    # psi diagonal
@@ -306,25 +309,21 @@ def _newton_polish(phi, psi, c, nl, params, dx, num: SemiwaveNumerics):
         ab[4, 0:-2:2] = kap1 + gam                       # phi_{i-1}
         ab[4, 1:-2:2] = kap2 + gam                       # psi_{i-1}
 
-        delta = solve_banded((2, 2), ab, rhs)
+        delta = solve_banded((2, 2), ab, -r)
         step = 1.0
         for _ in range(8):
             p_try = phi.copy()
             q_try = psi.copy()
             p_try[1:-1] += step * delta[0::2]
             q_try[1:-1] += step * delta[1::2]
-            new_res = resid_norm(p_try, q_try)
-            if new_res < res:
-                phi, psi, res = p_try, q_try, new_res
+            r_try, res_try = residual(p_try, q_try)
+            if res_try < res:
+                phi, psi, r, res = p_try, q_try, r_try, res_try
                 break
             step *= 0.5
         else:
             break  # no improving step: stagnated at float precision
     return phi, psi, res
-
-
-def _one_sided_slope(w, dx):
-    return (-3.0 * w[0] + 4.0 * w[1] - w[2]) / (2.0 * dx)
 
 
 def _validate_profile(phi, psi, u_star, v_star):
@@ -383,13 +382,13 @@ def solve_semiwave(c: float, nl: Nonlinearity, params: ModelParams,
         psi = eq.v_star * np.tanh(x)
         phi[0] = psi[0] = 0.0
         phi[-1], psi[-1] = eq.u_star, eq.v_star
-        phi, psi = _relax(phi, psi, c, nl, params, dx, num, eq.u_star, eq.v_star)
+        phi, psi = _relax(phi, psi, c, nl, params, dx, eq.u_star, eq.v_star)
 
-    phi, psi, res = _newton_polish(phi, psi, c, nl, params, dx, num)
-    if res > num.residual_tol:
+    phi, psi, res = _newton_polish(phi, psi, c, nl, params, dx)
+    if res > _RESIDUAL_TOL:
         if warm:  # bad warm start: fall back to the cold path once
             return solve_semiwave(c, nl, params, num, eq, cs, None)
-        raise NoConvergence(num.max_newton, f"steady residual {res:.2e}")
+        raise NoConvergence(_MAX_NEWTON, f"steady residual {res:.2e}")
 
     # roundoff guard: Newton may leave values a few ulp outside [0, w*]
     np.clip(phi, 0.0, eq.u_star, out=phi)
@@ -402,8 +401,8 @@ def solve_semiwave(c: float, nl: Nonlinearity, params: ModelParams,
         x_nodes=x,
         phi=phi,
         psi=psi,
-        slope0_phi=float(_one_sided_slope(phi, dx)),
-        slope0_psi=float(_one_sided_slope(psi, dx)),
+        slope0_phi=_one_sided_slope(phi, dx),
+        slope0_psi=_one_sided_slope(psi, dx),
         residual_inf=float(res),
         x_max=x_max,
     )
@@ -414,54 +413,50 @@ def solve_semiwave(c: float, nl: Nonlinearity, params: ModelParams,
 # ---------------------------------------------------------------------------
 
 def find_c0(nl: Nonlinearity, params: ModelParams,
-            numerics: SemiwaveNumerics | None = None
+            numerics: SemiwaveNumerics | None = None,
+            eq: Equilibrium | None = None
             ) -> tuple[SpeedPair, SemiWaveProfile]:
     """Locate the unique c0 in (0, c*) with mu1*phi'(0) + mu2*psi'(0) = c0.
 
     Evaluates F along an equispaced speed ladder until the sign change is
-    bracketed (F(0) > 0 always: the slopes are positive), then bisects the
-    bracket to c_tol. Monotonicity of F is not assumed.
+    bracketed (F(0) > 0 always: the slopes are positive), then runs brentq
+    on the bracket to c_tol. Monotonicity of F is not assumed. Each solve
+    is warm-started from the previous one.
     """
     num = numerics or SemiwaveNumerics()
     if params.mu1 + params.mu2 <= 0.0:
         raise ValueError("free-boundary speed needs mu1 + mu2 > 0")
-    if compute_R0(nl, params) <= 1.0:
-        raise NoTangency("reproduction number at or below 1")
-    eq = compute_equilibrium(nl, params)
-    c_star, lam_star = compute_cstar(nl, params)
+    c_star, lam_star = compute_cstar(nl, params)  # NoTangency when R0 <= 1
+    eq = eq or compute_equilibrium(nl, params)
 
-    last_profile: list[SemiWaveProfile | None] = [None]
+    values: dict[float, float] = {}
+    last: list[SemiWaveProfile | None] = [None]
 
     def F(c: float) -> float:
-        prof = solve_semiwave(c, nl, params, num, eq, c_star, last_profile[0])
-        last_profile[0] = prof
-        return params.mu1 * prof.slope0_phi + params.mu2 * prof.slope0_psi - c
+        if c not in values:  # brentq evaluates the bracket ends again
+            last[0] = solve_semiwave(c, nl, params, num, eq, c_star, last[0])
+            values[c] = params.mu1 * last[0].slope0_phi + params.mu2 * last[0].slope0_psi - c
+        return values[c]
 
-    f_lo = F(0.0)
-    if f_lo <= 0.0:
-        raise NoSignChange(f"F(0)={f_lo:.3e} not positive: slopes corrupt")
+    f0 = F(0.0)
+    if f0 <= 0.0:
+        raise NoSignChange(f"F(0)={f0:.3e} not positive: slopes corrupt")
     c_lo = 0.0
     c_hi = None
-    top = num.c_max_frac * c_star
-    for i in range(1, num.ladder + 1):
-        ci = top * i / num.ladder
-        fi = F(ci)
-        if fi <= 0.0:
+    top = _C_MAX_FRAC * c_star
+    for i in range(1, _LADDER + 1):
+        ci = top * i / _LADDER
+        if F(ci) <= 0.0:
             c_hi = ci
             break
-        c_lo, f_lo = ci, fi
+        c_lo = ci
     if c_hi is None:
         raise NoSignChange(f"F positive over the whole ladder up to {top:.6g}")
 
-    while c_hi - c_lo > num.c_tol:
-        mid = 0.5 * (c_lo + c_hi)
-        if F(mid) > 0.0:
-            c_lo = mid
-        else:
-            c_hi = mid
-
-    c0 = 0.5 * (c_lo + c_hi)
-    profile = solve_semiwave(c0, nl, params, num, eq, c_star, last_profile[0])
+    c0 = brentq(F, c_lo, c_hi, xtol=num.c_tol)
+    profile = last[0]
+    if profile.c != c0:
+        profile = solve_semiwave(c0, nl, params, num, eq, c_star, profile)
     f_res = abs(params.mu1 * profile.slope0_phi + params.mu2 * profile.slope0_psi - c0)
     if f_res > num.f_tol:
         raise SolverError(f"|F(c0)|={f_res:.3e} exceeds tolerance {num.f_tol}")
@@ -475,73 +470,47 @@ def find_c0(nl: Nonlinearity, params: ModelParams,
 # empirical tail rate and the half-line steady state
 # ---------------------------------------------------------------------------
 
-def decay_rate_empirical(profile: SemiWaveProfile, eq: Equilibrium,
-                         tail_frac: float = 0.3,
-                         pin_guard_frac: float = 0.15) -> DecayFit:
+def _log_linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
+    """Least-squares line through (x, log y): (slope, intercept, R^2)."""
+    logy = np.log(y)
+    slope, intercept = np.polyfit(x, logy, 1)
+    fitted = slope * x + intercept
+    ss_res = float(np.sum((logy - fitted) ** 2))
+    ss_tot = float(np.sum((logy - logy.mean()) ** 2))
+    r2 = 0.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+    return float(slope), float(intercept), r2
+
+
+def decay_rate_empirical(profile: SemiWaveProfile, eq: Equilibrium) -> DecayFit:
     """Least-squares log-slope of u*-phi + v*-psi over the grid tail.
 
-    The window is the trailing ``tail_frac`` of the grid, stopped short of
-    the last ``pin_guard_frac``: the hard pin at x_max carries a truncation
-    boundary layer (decaying inward at the second characteristic rate) that
-    would bias the fitted slope. Nodes indistinguishable from saturation
-    (< 1e-13) are dropped, and fewer than 8 usable nodes is an underflow.
+    The window is [0.7, 0.85] of x_max: it stops short of the hard pin at
+    x_max, whose truncation boundary layer (decaying inward at the second
+    characteristic rate) would bias the fitted slope. Nodes
+    indistinguishable from saturation (< 1e-13) are dropped, and fewer
+    than 8 usable nodes is an underflow.
     """
     x = profile.x_nodes
     vals = (eq.u_star - profile.phi) + (eq.v_star - profile.psi)
-    window = ((x >= (1.0 - tail_frac) * profile.x_max)
-              & (x <= (1.0 - pin_guard_frac) * profile.x_max))
+    window = (x >= 0.7 * profile.x_max) & (x <= 0.85 * profile.x_max)
     usable = window & (vals >= 1e-13)
     if int(usable.sum()) < 8:
         raise TailUnderflow(f"only {int(usable.sum())} usable tail nodes")
-    xw = x[usable]
-    yw = np.log(vals[usable])
-    slope, intercept = np.polyfit(xw, yw, 1)
-    fitted = slope * xw + intercept
-    ss_res = float(np.sum((yw - fitted) ** 2))
-    ss_tot = float(np.sum((yw - yw.mean()) ** 2))
-    r2 = 0.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return DecayFit(alpha=float(-slope), r_squared=r2, n_points=int(usable.sum()))
+    slope, _, r2 = _log_linear_fit(x[usable], vals[usable])
+    return DecayFit(alpha=-slope, r_squared=r2)
 
 
 def solve_halfline_steady(nl: Nonlinearity, params: ModelParams,
-                          x_max: float | None = None,
-                          numerics: SemiwaveNumerics | None = None) -> SteadyHalfLineProfile:
+                          x_max: float | None = None) -> SteadyHalfLineProfile:
     """Bounded positive steady state on the half line with value 0 at x=0.
 
     This is exactly the zero-speed profile, so the same solver is used.
-    Below the spreading regime only the trivial state is bounded; the
-    relaxation then collapses to zero and NotPositive reports it.
+    Below the spreading regime (R0 <= 1) only the trivial state is bounded,
+    and NotPositive reports it.
     """
-    num = numerics or SemiwaveNumerics()
-    if x_max is not None:
-        num = replace(num, x_max=float(x_max))
     if compute_R0(nl, params) <= 1.0:
-        _report_trivial_collapse(nl, params, num)
+        raise NotPositive("R0 <= 1: the half-line steady state is the trivial zero state")
+    num = SemiwaveNumerics(x_max=None if x_max is None else float(x_max))
     prof = solve_semiwave(0.0, nl, params, num)
     return SteadyHalfLineProfile(x_nodes=prof.x_nodes, U=prof.phi, V=prof.psi,
                                  residual_inf=prof.residual_inf)
-
-
-def _report_trivial_collapse(nl, params, num: SemiwaveNumerics):
-    x_max = num.x_max or 40.0
-    n = int(math.ceil(x_max / num.dx)) + 1
-    x = np.linspace(0.0, x_max, n)
-    w = 0.5 * np.sin(np.pi * x / x_max) + 1e-3
-    w[0] = w[-1] = 0.0
-    phi, psi = w.copy(), w.copy()
-    dt = 0.5
-    kap1 = params.d1 / (x[1] - x[0]) ** 2
-    kap2 = params.d2 / (x[1] - x[0]) ** 2
-    ab1 = _implicit_operator(n, kap1, 0.0, params.a, dt)
-    ab2 = _implicit_operator(n, kap2, 0.0, params.b, dt)
-    for _ in range(4000):
-        rhs = phi / dt + nl.H(psi)
-        rhs[0] = rhs[-1] = 0.0
-        phi = solve_banded((1, 1), ab1, rhs)
-        rhs = psi / dt + nl.G(phi)
-        rhs[0] = rhs[-1] = 0.0
-        psi = solve_banded((1, 1), ab2, rhs)
-        sup = max(np.max(np.abs(phi)), np.max(np.abs(psi)))
-        if sup < 1e-8:
-            raise NotPositive(f"half-line steady state collapsed to zero (sup {sup:.2e})")
-    raise NoConvergence(4000, "sub-threshold half-line relaxation did not settle")

@@ -73,9 +73,10 @@ class TestClassify:
         assert classify(trace, neumann_thresholds()) is Classification.UNDECIDED
 
     def test_short_trace_precondition(self):
+        # too short to show either outcome: Undecided, whatever the sample count
         t = np.linspace(0.0, 5.0, 10)
-        with pytest.raises(ValueError):
-            classify(mk_trace(t, 2 + t, 1 + 0 * t), neumann_thresholds())
+        label = classify(mk_trace(t, 2 + t, 1 + 0 * t), neumann_thresholds())
+        assert label is Classification.UNDECIDED
 
     @pytest.mark.parametrize("factory", [spreading_trace, vanishing_trace])
     def test_stable_under_subsampling(self, factory):
@@ -238,6 +239,13 @@ class TestOutcomeReport:
         assert payload["classification"] == "Spreading"
         assert payload["c_hat"] > 0.0
         assert len(payload["profile_sup_error"]) == 2
+
+    def test_short_spreading_trace_leaves_fits_empty(self):
+        # 6 samples in the trailing half: front_speed cannot fit, the report stays
+        trace = spreading_trace(n=12)
+        report = build_outcome_report(trace, neumann_thresholds(), c0=0.5)
+        assert report.classification is Classification.SPREADING
+        assert report.c_hat is None and report.h_star_hat is None
 
     def test_vanishing_report_is_sparse(self):
         report = build_outcome_report(vanishing_trace(), neumann_thresholds())

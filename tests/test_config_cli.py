@@ -153,6 +153,35 @@ class TestSimulateCommand:
         report = json.loads((out / "report.json").read_text())
         assert report["classification"] == "Vanishing"
 
+    @pytest.mark.parametrize("key, value", [
+        ("output.cadence", "0"),         # would never advance the next trace sample
+        ("numerics.dt_cap", "0"),        # would never advance the clock
+        ("numerics.cfl", "-1"),
+        ("numerics.c_adv", "-1"),
+        ("stop.t_end", "nan"),
+        ("model.d1", "nan"),
+        ("model.mu1", "inf"),
+        ("nonlinearity.hp", "nan"),
+    ])
+    def test_bad_value_rejected_before_run(self, tmp_path, key, value):
+        text = RunConfig.parse(SIM_NEUMANN).override({key: value}).serialize()
+        cfg = write_cfg(tmp_path / "bad.cfg", text)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        assert not (out / "trace.csv").exists()
+
+    def test_solver_failure_exits_3_with_marker(self, tmp_path):
+        # no profile meets |F(c0)| <= 1e-30, so find_c0 fails after the run
+        text = RunConfig.parse(SIM_NEUMANN).override(
+            {"stop.t_end": "1", "numerics.n": "40", "numerics.f_tol": "1e-30"}).serialize()
+        cfg = write_cfg(tmp_path / "fail.cfg", text)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 3
+        assert (out / "FAILED").read_text().startswith("SolverError:")
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["failed"] is True
+        assert [entry["name"] for entry in manifest["files"]] == ["FAILED"]
+
     def test_output_dir_collision_exits_4(self, tmp_path):
         cfg = write_cfg(tmp_path / "sim.cfg", SIM_NEUMANN)
         blocker = tmp_path / "blocked"

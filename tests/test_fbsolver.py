@@ -3,16 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from frontwave.errors import DegenerateFront, NegativeSpeed
-from frontwave.fbsolver import (
-    FreeBoundaryState,
-    SolverNumerics,
-    StopRule,
-    immobilize,
-    simulate,
-    stefan_flux,
-    step,
-)
+from frontwave.errors import NegativeSpeed
+from frontwave.fbsolver import SolverNumerics, StopRule, _flux, _Stepper, simulate
 from frontwave.model import InitialData, ModelParams, Nonlinearity, saturating
 
 
@@ -21,81 +13,57 @@ def zero_pair():
     return Nonlinearity(name="zero", H=z, G=z, dH=z, dG=z, d2H=z, d2G=z)
 
 
-def state_from(u, v, h, h_prime=0.0, t=0.0):
-    return FreeBoundaryState(t=t, h=h, h_prime=h_prime, u=np.asarray(u, float),
-                             v=np.asarray(v, float))
-
-
-class TestImmobilize:
-    def test_unit_front_is_identity(self):
-        p = ModelParams(1.3, 0.7, 1.0, 1.0, 1.0, 1.0, "dirichlet")
-        xi = np.linspace(0.0, 1.0, 11)
-        coef = immobilize(state_from(xi * 0, xi * 0, h=1.0), p)
-        assert coef.diff_u == 1.3 and coef.diff_v == 0.7
-        assert np.all(coef.adv == 0.0)
-
-    def test_front_at_two_quarters_diffusion(self):
-        p = ModelParams(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, "dirichlet")
-        coef = immobilize(state_from(np.zeros(11), np.zeros(11), h=2.0), p)
-        assert coef.diff_u == pytest.approx(0.25, abs=0.0)
-
-    def test_manufactured_solution_residual(self):
-        # u(xi) = xi (1 - xi), h = 1.5, h' = 1: the transformed-equation
-        # residual assembled from the returned coefficients must match the
-        # hand-computed terms exactly
-        p = ModelParams(0.7, 1.0, 1.1, 1.0, 1.0, 1.0, "dirichlet")
-        xi = np.linspace(0.0, 1.0, 101)
-        h, hp = 1.5, 1.0
-        u = xi * (1.0 - xi)
-        coef = immobilize(state_from(u, 0 * u, h=h, h_prime=hp), p)
-        u_xi = 1.0 - 2.0 * xi
-        u_xixi = -2.0
-        residual_code = -(coef.diff_u * u_xixi + coef.adv * u_xi - p.a * u)
-        residual_hand = -((p.d1 / h ** 2) * u_xixi + (xi * hp / h) * u_xi - p.a * u)
-        assert np.max(np.abs(residual_code - residual_hand)) <= 1e-10
-
-    def test_degenerate_front_guard(self):
-        p = ModelParams(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, "dirichlet")
-        st = state_from(np.zeros(11), np.zeros(11), h=0.05)
-        with pytest.raises(DegenerateFront):
-            immobilize(st, p, dx_physical=0.01)
+def flux(u, v, h, params):
+    u, v = np.asarray(u, float), np.asarray(v, float)
+    return _flux(u, v, h, 1.0 / (u.size - 1), params)
 
 
 class TestStefanFlux:
     def test_zero_profile_zero_speed(self):
         p = ModelParams(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, "dirichlet")
-        assert stefan_flux(state_from(np.zeros(101), np.zeros(101), h=2.0), p) == 0.0
+        assert flux(np.zeros(101), np.zeros(101), 2.0, p) == 0.0
 
     def test_exact_on_linear_data(self):
         # u(x) = h - x has u_x = -1 everywhere; mu1 = 1 gives h' = 1 exactly
         p = ModelParams(1.0, 1.0, 1.0, 1.0, 1.0, 0.0, "dirichlet")
         xi = np.linspace(0.0, 1.0, 101)
         h = 2.0
-        st = state_from(h * (1.0 - xi), np.zeros_like(xi), h=h)
-        assert stefan_flux(st, p) == pytest.approx(1.0, abs=1e-13)
+        assert flux(h * (1.0 - xi), np.zeros_like(xi), h, p) == pytest.approx(1.0, abs=1e-13)
 
     def test_quadratic_zero_front_slope(self):
         p = ModelParams(1.0, 1.0, 1.0, 1.0, 1.0, 0.0, "dirichlet")
         xi = np.linspace(0.0, 1.0, 101)
         h = 2.0
-        st = state_from((h * (1.0 - xi)) ** 2, np.zeros_like(xi), h=h)
-        assert abs(stefan_flux(st, p)) <= 1e-12
+        assert abs(flux((h * (1.0 - xi)) ** 2, np.zeros_like(xi), h, p)) <= 1e-12
 
     def test_negative_speed_rejected(self):
         p = ModelParams(1.0, 1.0, 1.0, 1.0, 1.0, 0.0, "dirichlet")
         xi = np.linspace(0.0, 1.0, 101)
-        st = state_from(xi, np.zeros_like(xi), h=1.0)  # increasing toward the front
         with pytest.raises(NegativeSpeed):
-            stefan_flux(st, p)
+            flux(xi, np.zeros_like(xi), 1.0, p)  # increasing toward the front
+
+    def test_matches_backward_stencil_bitwise(self):
+        # the front slope is the reversed forward stencil: same bits as the
+        # backward stencil (3a - 4b + c) / (2 dxi) written out directly
+        rng = np.random.default_rng(7)
+        p = ModelParams(1.0, 1.0, 1.0, 1.0, 0.7, 1.3, "dirichlet")
+        for _ in range(200):
+            u = np.concatenate((rng.uniform(0.0, 2.0, 3), [0.0]))
+            v = np.concatenate((rng.uniform(0.0, 2.0, 3), [0.0]))
+            u[-2], v[-2] = u[-3] + 1.0, v[-3] + 1.0  # decreasing to the front: h' > 0
+            h, dxi = rng.uniform(0.5, 5.0), 1.0 / 3.0
+            du = (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * dxi)
+            dv = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * dxi)
+            assert _flux(u, v, h, dxi, p) == -(p.mu1 * du + p.mu2 * dv) / h
 
 
 class TestStep:
     def test_zero_data_is_fixed_point(self):
         p = ModelParams(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, "dirichlet")
-        st = state_from(np.zeros(101), np.zeros(101), h=2.0)
-        st2 = step(st, p, saturating(), dt=1e-3)
-        assert np.all(st2.u == 0.0) and np.all(st2.v == 0.0)
-        assert st2.h == 2.0 and st2.h_prime == 0.0
+        stepper = _Stepper(p, saturating(), 100)
+        u, v, h, hp = stepper.advance(np.zeros(101), np.zeros(101), 2.0, 1e-3)
+        assert np.all(u == 0.0) and np.all(v == 0.0)
+        assert h == 2.0 and hp == 0.0
 
     def test_heat_kernel_decay_rate(self):
         # decoupled pure-diffusion check: frozen front, Dirichlet both ends,

@@ -13,6 +13,7 @@ from frontwave.errors import (
     SpeedOutOfRange,
     TailUnderflow,
 )
+from frontwave import semiwave
 from frontwave.model import Equilibrium, ModelParams, saturating
 from frontwave.semiwave import (
     SemiWaveProfile,
@@ -154,6 +155,20 @@ class TestFreeBoundarySpeed:
         assert 0.0 < pair.c0 < 2.0
         assert pair.F_residual <= 1e-8
         assert pair.c_star == pytest.approx(2.0, abs=1e-9)
+
+    def test_root_find_solve_count(self, s1_nl, s1_neumann, monkeypatch):
+        # 1 + 8 ladder solves bracket c0 on this set; brentq needs only a few more
+        calls = []
+        solve = semiwave.solve_semiwave
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(semiwave, "solve_semiwave", counting)
+        pair, _ = find_c0(s1_nl, s1_neumann)
+        assert len(calls) <= 20
+        assert pair.F_residual <= SemiwaveNumerics().f_tol
 
     def test_residual_at_zero_speed_positive(self, s1_nl, s1_neumann, s1_eq):
         prof = solve_semiwave(0.0, s1_nl, s1_neumann, eq=s1_eq, cstar=2.0)
