@@ -173,6 +173,7 @@ def _sweep_cell(payload) -> tuple:
 def cmd_sweep(cfg: RunConfig, outdir: str, args) -> list:
     # the axes never touch numerics or stop: reject bad ones before fanning out
     build_solver_numerics(cfg)
+    build_semiwave_numerics(cfg)
     build_stop(cfg)
     payloads = [(i, cfg.entries, mapping) for i, mapping in enumerate(sweep_cells(cfg))]
     workers = max(1, args.workers)

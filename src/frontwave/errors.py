@@ -71,10 +71,6 @@ class NoSignChange(SolverError):
     """The c0 residual never changed sign on the sampled speed ladder."""
 
 
-class NotPositive(SolverError):
-    """Half-line steady solve collapsed to the trivial zero state."""
-
-
 class NegativeSpeed(SolverError):
     """Stefan flux came out negative beyond roundoff."""
 

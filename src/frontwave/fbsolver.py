@@ -14,8 +14,7 @@ slope extraction uses, so simulated and semi-wave speeds share
 discretization bias), explicit front update, explicit advection +
 reaction, implicit diffusion (one tridiagonal solve per component,
 evaluated on the advanced front). Neumann at xi = 0 enters by ghost-node
-reflection. Time step obeys dt <= cfl * dxi * h / (|h'| + c_adv), capped
-at dt_cap.
+reflection. Time step obeys dt <= cfl * dxi * h / |h'|, capped at dt_cap.
 
 Runs are bit-reproducible: no stochastic elements anywhere.
 """
@@ -60,7 +59,6 @@ class SolverNumerics:
     n: int = 400                    # grid cells on [0, 1]
     dt_cap: float = 1e-3
     cfl: float = 0.4
-    c_adv: float = 0.0              # extra advective scale in the CFL denominator
     fixed_dt: float | None = None   # exact step for convergence studies
     trace_cadence: float = 0.1
     snapshot_times: tuple = ()
@@ -69,8 +67,8 @@ class SolverNumerics:
         # written as not (...) so that NaN fails too; a zero step or cadence
         # would never advance the clock or the next trace sample
         if not (self.n >= 2 and 0 < self.dt_cap < math.inf and 0 < self.cfl < math.inf
-                and 0 < self.trace_cadence < math.inf and 0 <= self.c_adv < math.inf):
-            raise ValueError("solver numerics need n >= 2, c_adv >= 0 and positive finite "
+                and 0 < self.trace_cadence < math.inf):
+            raise ValueError("solver numerics need n >= 2 and positive finite "
                              "dt_cap, cfl and trace cadence")
 
 
@@ -78,7 +76,6 @@ class SolverNumerics:
 class StopRule:
     t_end: float
     x_budget: float = math.inf
-    vanish_sup: float = VANISH_SUP
 
     def __post_init__(self):
         if not 0 < self.t_end < math.inf:
@@ -234,8 +231,7 @@ def simulate(params: ModelParams, nl: Nonlinearity, init: InitialData,
         if num.fixed_dt is not None:
             dt = num.fixed_dt
         else:
-            denom = abs(hp) + num.c_adv
-            dt = num.dt_cap if denom == 0.0 else min(num.dt_cap, num.cfl * stepper.dxi * h / denom)
+            dt = num.dt_cap if hp == 0.0 else min(num.dt_cap, num.cfl * stepper.dxi * h / abs(hp))
         dt = min(dt, stop.t_end - t)
         u, v, h, hp = stepper.advance(u, v, h, dt)
         t += dt
@@ -251,7 +247,7 @@ def simulate(params: ModelParams, nl: Nonlinearity, init: InitialData,
             snap_idx += 1
 
         sup_total = float(np.max(u + v))
-        if sup_total < stop.vanish_sup:
+        if sup_total < VANISH_SUP:
             if vanish_t0 is None:
                 vanish_t0 = t
             # one extra cadence so the *sampled* stretch also spans the window

@@ -176,8 +176,8 @@ class InitialData:
     v0: np.ndarray
 
     def __post_init__(self):
-        if self.h0 <= 0:
-            raise ValueError("h0 must be positive")
+        if not 0 < self.h0 < math.inf:
+            raise ValueError("h0 must be positive and finite")
         x = np.asarray(self.x, dtype=float)
         if x.ndim != 1 or x.size < 3:
             raise ValueError("initial data needs at least 3 sample nodes")
@@ -386,6 +386,10 @@ def validate_initial_data(init: InitialData, params: ModelParams) -> ValidationR
     """
     violations = []
     for name, w in (("u0", init.u0), ("v0", init.v0)):
+        nonfinite = np.flatnonzero(~np.isfinite(w))
+        if nonfinite.size:  # every comparison below is false on NaN
+            violations.append((name, "finite", int(nonfinite[0])))
+            continue
         scale = float(np.max(np.abs(w))) or 1.0
         tol = 1e-12 * scale
         if abs(w[-1]) > tol:

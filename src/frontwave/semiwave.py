@@ -16,8 +16,8 @@ which has a unique strictly increasing solution for every speed c in
       c(lam) = (S + sqrt(D^2 + 4 H'(0)G'(0))) / (2 lam),
       S = (d1 lam^2 - a) + (d2 lam^2 - b),  D = (d1 lam^2 - a) - (d2 lam^2 - b),
 
-  and c* = min over lam > 0, located by a scan plus a tangency Newton
-  iteration on (P, dP/dlam) = 0.
+  and c* = min over lam > 0, located by a scan whose minimum starts a
+  tangency Newton iteration on (P, dP/dlam) = 0.
 
 * c0: the unique root in (0, c*) of F(c) = mu1*phi_c'(0) + mu2*psi_c'(0) - c.
   F(0) > 0 since the slopes are positive; a ladder of profile solves
@@ -28,11 +28,12 @@ which has a unique strictly increasing solution for every speed c in
   H'(v*) G'(u*); a positive eigenvector (p, q) forces both factors
   negative, i.e. the smaller positive root.
 
-The BVP itself is solved by parabolic relaxation (diffusion, advection and
-self-decay implicit per component, cross coupling explicit) from the guess
-(u* tanh x, v* tanh x), finished by a damped Newton iteration on the
-discretized steady system (second-order central differences, hard pin to
-(u*, v*) at the truncation point X_max = max(40, 12/beta)).
+The BVP is discretized by second-order central differences with a hard
+pin to (u*, v*) at the truncation point X_max = max(40, 12/beta), and the
+discrete system is solved by a damped Newton iteration, cold from the guess
+(u* tanh x, v* tanh x) or warm from a neighbouring speed's profile. The
+half-line steady state (the bounded positive solution at rest) is the
+c = 0 profile.
 """
 
 from __future__ import annotations
@@ -42,13 +43,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_banded
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import brentq
 
 from .errors import (
     NoAdmissibleRoot,
     NoConvergence,
     NoSignChange,
-    NotPositive,
     NoTangency,
     SolverError,
     SpeedOutOfRange,
@@ -60,14 +60,12 @@ from .model import (
     Nonlinearity,
     _one_sided_slope,
     compute_equilibrium,
-    compute_R0,
 )
 from ._format import write_csv
 
 __all__ = [
     "SemiwaveNumerics",
     "SemiWaveProfile",
-    "SteadyHalfLineProfile",
     "SpeedPair",
     "DecayFit",
     "compute_cstar",
@@ -75,17 +73,13 @@ __all__ = [
     "find_c0",
     "decay_rate_theoretical",
     "decay_rate_empirical",
-    "solve_halfline_steady",
 ]
 
 # profile values this close to saturation are below double-precision
 # resolution of u* - phi; strictness checks skip them
 _SATURATION_TOL = 1e-12
 _RESIDUAL_TOL = 1e-8            # sup steady residual a profile must reach
-_RELAX_DT = 0.25
-_RELAX_RATE_TOL = 1e-10         # sup time-derivative per unit pseudo-time
-_MAX_RELAX_STEPS = 40_000
-_MAX_NEWTON = 12
+_MAX_NEWTON = 40                # a cold solve at 0.99 c* takes up to ~32 steps
 _LADDER = 32                    # speed samples bracketing the c0 sign change
 _C_MAX_FRAC = 0.999             # the ladder's top speed, as a fraction of c*
 
@@ -96,6 +90,14 @@ class SemiwaveNumerics:
     x_max: float | None = None      # None: max(40, 12/beta), rounded to the grid
     c_tol: float = 1e-9             # brentq tolerance on c0
     f_tol: float = 1e-8             # bound on |F(c0)|
+
+    def __post_init__(self):
+        # written as not (...) so that NaN fails too
+        if not (0 < self.dx < math.inf and 0 < self.c_tol < math.inf
+                and 0 < self.f_tol < math.inf
+                and (self.x_max is None or 0 < self.x_max < math.inf)):
+            raise ValueError("semi-wave numerics need positive finite dx, c_tol, f_tol "
+                             "and x_max (or x_max None)")
 
 
 @dataclass(frozen=True)
@@ -113,16 +115,6 @@ class SemiWaveProfile:
 
     def to_csv(self, path) -> None:
         write_csv(path, ("x", "phi", "psi"), zip(self.x_nodes, self.phi, self.psi))
-
-
-@dataclass(frozen=True)
-class SteadyHalfLineProfile:
-    """Zero-speed steady state on the half line (identical system at c=0)."""
-
-    x_nodes: np.ndarray
-    U: np.ndarray
-    V: np.ndarray
-    residual_inf: float
 
 
 @dataclass(frozen=True)
@@ -159,8 +151,8 @@ def _poly_terms(lam: float, c: float, params: ModelParams, k: float):
 def compute_cstar(nl: Nonlinearity, params: ModelParams) -> tuple[float, float]:
     """Minimal wave speed and its tangency root (c*, lambda*).
 
-    Scan the admissible branch c(lam), refine the minimum, then Newton on
-    (P, dP/dlam) = 0 with the analytic Jacobian until both tangency
+    Scan the admissible branch c(lam), then Newton on (P, dP/dlam) = 0 with
+    the analytic Jacobian from the scan's minimum until both tangency
     residuals are at machine level (well under the 1e-9 requirement).
     """
     k = float(nl.dH(0.0)) * float(nl.dG(0.0))
@@ -176,11 +168,7 @@ def compute_cstar(nl: Nonlinearity, params: ModelParams) -> tuple[float, float]:
     lam_grid = np.geomspace(1e-3, 1e3, 4001)
     c_vals = c_branch(lam_grid)
     i0 = int(np.argmin(c_vals))
-    lo = lam_grid[max(i0 - 1, 0)]
-    hi = lam_grid[min(i0 + 1, lam_grid.size - 1)]
-    res = minimize_scalar(c_branch, bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-12})
-    lam, c = float(res.x), float(res.fun)
+    lam, c = float(lam_grid[i0]), float(c_vals[i0])
 
     for _ in range(60):
         A, B, P, P_l, P_c, P_ll, P_lc = _poly_terms(lam, c, params, k)
@@ -231,7 +219,7 @@ def decay_rate_theoretical(nl: Nonlinearity, params: ModelParams, c: float,
 
 
 # ---------------------------------------------------------------------------
-# BVP solve: relaxation + Newton polish
+# BVP solve: damped Newton on the discrete steady system
 # ---------------------------------------------------------------------------
 
 def _steady_residual(phi, psi, c, nl, params, dx):
@@ -246,43 +234,7 @@ def _steady_residual(phi, psi, c, nl, params, dx):
     return r_phi, r_psi
 
 
-def _implicit_operator(n, kappa, gamma, decay, dt):
-    """Banded (1,1) matrix of (1/dt - d*dxx + c*dx + decay) with pinned ends."""
-    ab = np.zeros((3, n))
-    ab[1, :] = 1.0 / dt + 2.0 * kappa + decay
-    ab[0, 1:] = -kappa + gamma   # superdiagonal: coefficient of w_{i+1}
-    ab[2, :-1] = -kappa - gamma  # subdiagonal: coefficient of w_{i-1}
-    ab[1, 0] = ab[1, -1] = 1.0
-    ab[0, 1] = 0.0
-    ab[2, -2] = 0.0
-    return ab
-
-
-def _relax(phi, psi, c, nl, params, dx, u_star, v_star):
-    n = phi.size
-    dt = _RELAX_DT
-    kap1 = params.d1 / (dx * dx)
-    kap2 = params.d2 / (dx * dx)
-    gam = c / (2.0 * dx)
-    ab1 = _implicit_operator(n, kap1, gam, params.a, dt)
-    ab2 = _implicit_operator(n, kap2, gam, params.b, dt)
-    for _ in range(_MAX_RELAX_STEPS):
-        rhs = phi / dt + nl.H(psi)
-        rhs[0], rhs[-1] = 0.0, u_star
-        phi_new = solve_banded((1, 1), ab1, rhs)
-        rhs = psi / dt + nl.G(phi_new)
-        rhs[0], rhs[-1] = 0.0, v_star
-        psi_new = solve_banded((1, 1), ab2, rhs)
-        rate = max(np.max(np.abs(phi_new - phi)), np.max(np.abs(psi_new - psi))) / dt
-        phi, psi = phi_new, psi_new
-        if not np.isfinite(rate):
-            raise NoConvergence(_MAX_RELAX_STEPS, "relaxation diverged")
-        if rate < _RELAX_RATE_TOL:
-            break
-    return phi, psi
-
-
-def _newton_polish(phi, psi, c, nl, params, dx):
+def _newton(phi, psi, c, nl, params, dx):
     n = phi.size
     m = n - 2  # interior nodes
     d1, d2, a, b = params.d1, params.d2, params.a, params.b
@@ -349,10 +301,12 @@ def solve_semiwave(c: float, nl: Nonlinearity, params: ModelParams,
                    initial_guess: SemiWaveProfile | None = None) -> SemiWaveProfile:
     """Solve the half-line profile at speed c in [0, c*).
 
-    Relaxation brings the tanh guess near the profile; Newton drives the
-    discrete residual to machine level. A warm start (``initial_guess`` on
-    the same grid) skips straight to Newton — the speed-ladder continuation
-    in find_c0 relies on this.
+    Damped Newton drives the discrete residual to machine level, starting
+    from ``initial_guess`` when it lies on the same grid (the speed-ladder
+    continuation in find_c0) and from (u* tanh x, v* tanh x) otherwise; a
+    warm start that fails falls back to the cold guess once. At c = 0 this
+    is the half-line steady state; below threshold (R0 <= 1) the
+    equilibrium, and with it the profile, does not exist (NoPositiveRoot).
     """
     num = numerics or SemiwaveNumerics()
     eq = eq or compute_equilibrium(nl, params)
@@ -382,9 +336,8 @@ def solve_semiwave(c: float, nl: Nonlinearity, params: ModelParams,
         psi = eq.v_star * np.tanh(x)
         phi[0] = psi[0] = 0.0
         phi[-1], psi[-1] = eq.u_star, eq.v_star
-        phi, psi = _relax(phi, psi, c, nl, params, dx, eq.u_star, eq.v_star)
 
-    phi, psi, res = _newton_polish(phi, psi, c, nl, params, dx)
+    phi, psi, res = _newton(phi, psi, c, nl, params, dx)
     if res > _RESIDUAL_TOL:
         if warm:  # bad warm start: fall back to the cold path once
             return solve_semiwave(c, nl, params, num, eq, cs, None)
@@ -467,7 +420,7 @@ def find_c0(nl: Nonlinearity, params: ModelParams,
 
 
 # ---------------------------------------------------------------------------
-# empirical tail rate and the half-line steady state
+# empirical tail rate
 # ---------------------------------------------------------------------------
 
 def _log_linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
@@ -499,18 +452,3 @@ def decay_rate_empirical(profile: SemiWaveProfile, eq: Equilibrium) -> DecayFit:
     slope, _, r2 = _log_linear_fit(x[usable], vals[usable])
     return DecayFit(alpha=-slope, r_squared=r2)
 
-
-def solve_halfline_steady(nl: Nonlinearity, params: ModelParams,
-                          x_max: float | None = None) -> SteadyHalfLineProfile:
-    """Bounded positive steady state on the half line with value 0 at x=0.
-
-    This is exactly the zero-speed profile, so the same solver is used.
-    Below the spreading regime (R0 <= 1) only the trivial state is bounded,
-    and NotPositive reports it.
-    """
-    if compute_R0(nl, params) <= 1.0:
-        raise NotPositive("R0 <= 1: the half-line steady state is the trivial zero state")
-    num = SemiwaveNumerics(x_max=None if x_max is None else float(x_max))
-    prof = solve_semiwave(0.0, nl, params, num)
-    return SteadyHalfLineProfile(x_nodes=prof.x_nodes, U=prof.phi, V=prof.psi,
-                                 residual_inf=prof.residual_inf)

@@ -242,7 +242,7 @@ def test_criterion_10_numerics_hygiene(s1_nl, s1_neumann, tmp_path):
     # comparison ordering on nested data, shared grid (mu = 0)
     p0 = ModelParams(1.0, 1.0, 1.0, 1.0, 0.0, 0.0, "dirichlet")
     num = SolverNumerics(n=200, trace_cadence=0.2, snapshot_times=(1.0, 2.0, 4.0))
-    stop = StopRule(t_end=4.0, vanish_sup=-1.0)
+    stop = StopRule(t_end=4.0)
     lo = simulate(p0, s1_nl, InitialData.sine(2.0, 0.3, 401), num, stop)
     hi = simulate(p0, s1_nl, InitialData.sine(2.0, 0.5, 401), num, stop)
     viol = max(max(float(np.max(a.u - b.u)), float(np.max(a.v - b.v)))

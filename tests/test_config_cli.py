@@ -157,7 +157,11 @@ class TestSimulateCommand:
         ("output.cadence", "0"),         # would never advance the next trace sample
         ("numerics.dt_cap", "0"),        # would never advance the clock
         ("numerics.cfl", "-1"),
-        ("numerics.c_adv", "-1"),
+        ("numerics.dx_semiwave", "0"),   # would divide by zero in the profile grid
+        ("numerics.x_max", "-5"),
+        ("numerics.c_tol", "0"),
+        ("init.amplitude", "nan"),       # would reach the tridiagonal solve
+        ("init.h0", "nan"),
         ("stop.t_end", "nan"),
         ("model.d1", "nan"),
         ("model.mu1", "inf"),

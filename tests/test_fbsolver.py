@@ -73,7 +73,7 @@ class TestStep:
         init = InitialData.from_callables(1.0, lambda x: np.sin(np.pi * x),
                                           lambda x: np.sin(np.pi * x), 201)
         trace = simulate(p, zero_pair(), init, SolverNumerics(n=200, trace_cadence=0.05),
-                         StopRule(t_end=1.0, vanish_sup=-1.0))
+                         StopRule(t_end=1.0))
         rate = -(math.log(trace.sup_u[-1]) - math.log(trace.sup_u[0])) / (trace.t[-1] - trace.t[0])
         assert abs(rate - math.pi ** 2) / math.pi ** 2 <= 0.01
         assert trace.h[-1] == 1.0  # mu = 0 freezes the front
@@ -84,7 +84,7 @@ class TestSimulate:
         p = ModelParams(1.0, 1.0, 1.0, 1.0, 0.0, 0.0, "dirichlet")
         init = InitialData.sine(2.0, 0.3, 201)
         trace = simulate(p, s1_nl, init, SolverNumerics(n=100, trace_cadence=0.1),
-                         StopRule(t_end=2.0, vanish_sup=-1.0))
+                         StopRule(t_end=2.0))
         assert np.all(trace.h == 2.0)
         assert np.all(trace.hprime == 0.0)
 
@@ -116,7 +116,7 @@ class TestSimulate:
         # mu = 0 keeps both runs on one grid: nested data stays nested
         p = ModelParams(1.0, 1.0, 1.0, 1.0, 0.0, 0.0, "dirichlet")
         num = SolverNumerics(n=100, trace_cadence=0.2, snapshot_times=(1.0, 2.0, 4.0))
-        stop = StopRule(t_end=4.0, vanish_sup=-1.0)
+        stop = StopRule(t_end=4.0)
         lo = simulate(p, s1_nl, InitialData.sine(2.0, 0.3, 201), num, stop)
         hi = simulate(p, s1_nl, InitialData.sine(2.0, 0.5, 201), num, stop)
         for s_lo, s_hi in zip(lo.snapshots, hi.snapshots):

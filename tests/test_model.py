@@ -182,6 +182,13 @@ class TestInitialData:
         clauses = {v[1] for v in report.violations}
         assert "value_at_0" in clauses
 
+    def test_nonfinite_node_fails(self, s1_dirichlet):
+        init = InitialData.sine(2.0, 0.5, 101)
+        init.v0[40] = np.nan
+        report = validate_initial_data(init, s1_dirichlet)
+        assert not report.passed
+        assert report.violations == (("v0", "finite", 40),)
+
     def test_too_few_nodes_rejected(self):
         with pytest.raises(ValueError):
             InitialData(1.0, np.array([0.0, 1.0]), np.array([0.0, 0.0]), np.array([0.0, 0.0]))

@@ -7,14 +7,14 @@ from scipy.optimize import brentq
 
 from frontwave.errors import (
     NoAdmissibleRoot,
+    NoPositiveRoot,
     NoSignChange,
-    NotPositive,
     NoTangency,
     SpeedOutOfRange,
     TailUnderflow,
 )
 from frontwave import semiwave
-from frontwave.model import Equilibrium, ModelParams, saturating
+from frontwave.model import Equilibrium, ModelParams, compute_equilibrium, saturating
 from frontwave.semiwave import (
     SemiWaveProfile,
     SemiwaveNumerics,
@@ -22,7 +22,6 @@ from frontwave.semiwave import (
     decay_rate_empirical,
     decay_rate_theoretical,
     find_c0,
-    solve_halfline_steady,
     solve_semiwave,
 )
 
@@ -116,6 +115,24 @@ class TestSemiWaveProfile:
         assert sol.status == 0
         # the dx=0.02 central-difference profile carries O(dx^2) ~ 5e-6 error
         assert np.max(np.abs(prof.phi - sol.sol(prof.x_nodes)[0])) <= 1e-5
+
+    @pytest.mark.parametrize("case", ["asymmetric", "slow_tail"])
+    @pytest.mark.parametrize("frac", [0.0, 0.5, 0.9, 0.99])
+    def test_cold_newton_across_speed_range(self, case, frac):
+        if case == "asymmetric":
+            p = ModelParams(1.0, 2.0, 1.0, 1.5, 0.7, 1.3, "neumann")
+            nl = saturating(hp=3.0, gq=0.5)
+        else:  # 12/beta > 40: a wide grid
+            p = ModelParams(1.0, 3.0, 0.5, 0.5, 0.7, 1.3, "neumann")
+            nl = saturating(hp=1.5, gp=0.35)
+        eq = compute_equilibrium(nl, p)
+        c_star, _ = compute_cstar(nl, p)
+        prof = solve_semiwave(frac * c_star, nl, p, eq=eq, cstar=c_star)
+        assert prof.residual_inf <= 1e-8
+        assert prof.phi[0] == 0.0 and prof.psi[0] == 0.0
+        assert np.all(np.diff(prof.phi) > 0) and np.all(np.diff(prof.psi) > 0)
+        if case == "slow_tail":
+            assert prof.x_max > 40.0
 
     def test_boundary_value_pinned_for_any_speed(self, s1_nl, s1_neumann, s1_eq):
         for c in (0.3, 1.0):
@@ -260,20 +277,16 @@ class TestDecayRates:
 
 
 class TestHalfLineSteady:
-    def test_equals_zero_speed_profile(self, s1_nl, s1_neumann, s1_eq):
-        steady = solve_halfline_steady(s1_nl, s1_neumann)
-        prof = solve_semiwave(0.0, s1_nl, s1_neumann, eq=s1_eq, cstar=2.0)
-        assert np.max(np.abs(steady.U - prof.phi)) <= 1e-9
-        assert np.max(np.abs(steady.V - prof.psi)) <= 1e-9
+    """The half-line steady state is the c = 0 profile."""
 
     def test_saturates_at_equilibrium(self, s1_nl, s1_neumann, s1_eq):
-        steady = solve_halfline_steady(s1_nl, s1_neumann, x_max=40.0)
+        steady = solve_semiwave(0.0, s1_nl, s1_neumann, SemiwaveNumerics(x_max=40.0), s1_eq)
         tail = steady.x_nodes >= 35.0
-        assert np.max(np.abs(steady.U[tail] - s1_eq.u_star)) <= 1e-8
-        assert np.max(np.abs(steady.V[tail] - s1_eq.v_star)) <= 1e-8
+        assert np.max(np.abs(steady.phi[tail] - s1_eq.u_star)) <= 1e-8
+        assert np.max(np.abs(steady.psi[tail] - s1_eq.v_star)) <= 1e-8
 
     def test_subcritical_collapses_to_zero(self):
         p = ModelParams(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, "neumann")
-        nl = saturating(hp=0.9, gp=0.9)  # R0 < 1
-        with pytest.raises(NotPositive):
-            solve_halfline_steady(nl, p)
+        nl = saturating(hp=0.9, gp=0.9)  # R0 < 1: only the trivial state is bounded
+        with pytest.raises(NoPositiveRoot):
+            solve_semiwave(0.0, nl, p)
