@@ -1,9 +1,10 @@
 """Exception hierarchy.
 
 Three families, matching the CLI exit codes: model-regime errors (exit 2)
-mean the requested quantity does not exist for these parameters; solver
-errors (exit 3) mean the numerics failed on a well-posed problem; analysis
-errors mean a post-processing window or fit is unusable.
+mean the requested quantity does not exist for these parameters, as for a
+semi-wave profile asked for at a speed outside [0, c*); solver errors
+(exit 3) mean the numerics failed on a well-posed problem; analysis errors
+mean a post-processing window or fit is unusable.
 """
 
 from __future__ import annotations
@@ -49,6 +50,10 @@ class Infeasible(ModelRegimeError):
     """A feasibility system has a wrong-signed ingredient (corrupt profile input)."""
 
 
+class SpeedOutOfRange(ModelRegimeError):
+    """Requested profile speed is not in [0, c*)."""
+
+
 class SolverError(FrontwaveError):
     """Numerical machinery failed; the underlying problem is well posed."""
 
@@ -61,10 +66,6 @@ class NoConvergence(SolverError):
     def __init__(self, iterations: int, detail: str = ""):
         self.iterations = iterations
         super().__init__(f"no convergence after {iterations} iterations" + (f": {detail}" if detail else ""))
-
-
-class SpeedOutOfRange(SolverError):
-    """Requested profile speed is not in [0, c*)."""
 
 
 class NoSignChange(SolverError):

@@ -13,8 +13,16 @@ of the kernel (_Stepper.advance): Stefan flux from the current state
 slope extraction uses, so simulated and semi-wave speeds share
 discretization bias), explicit front update, explicit advection +
 reaction, implicit diffusion (one tridiagonal solve per component,
-evaluated on the advanced front). Neumann at xi = 0 enters by ghost-node
-reflection. Time step obeys dt <= cfl * dxi * h / |h'|, capped at dt_cap.
+evaluated on the advanced front, by LAPACK gtsv called directly on band
+buffers the stepper allocates once). Neumann at xi = 0 enters by
+ghost-node reflection. Time step obeys dt <= cfl * dxi * h / |h'|, capped
+at dt_cap.
+
+The solve does not check its input for NaN or infinity. The step's guards
+are the only finiteness check: the minimum over both fields catches
+densities below -1e-10 (StabilityViolation) and NaN (NonFinite), and the
+sup of u + v, which the stop rule needs anyway, catches +inf and any NaN
+the minimum missed (NonFinite).
 
 Runs are bit-reproducible: no stochastic elements anywhere.
 """
@@ -25,7 +33,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .errors import NegativeSpeed, NonFinite, StabilityViolation
 from .model import (
@@ -137,29 +145,41 @@ class _Stepper:
         self.nl = nl
         self.xi = np.linspace(0.0, 1.0, n + 1)
         self.dxi = 1.0 / n
-        self.ab = np.zeros((3, n + 1))
         self.dirichlet = params.boundary is BoundaryKind.DIRICHLET
+        # sub-, main and super-diagonal; dgtsv overwrites them with its
+        # factors, so every solve refills them
+        self.dl = np.empty(n)
+        self.d = np.empty(n + 1)
+        self.du = np.empty(n)
 
     def _implicit_solve(self, rhs: np.ndarray, r: float) -> np.ndarray:
-        ab = self.ab
-        ab[1, :] = 1.0 + 2.0 * r
-        ab[0, 1:] = -r
-        ab[2, :-1] = -r
+        """Implicit diffusion solve with the boundary rows; overwrites and returns rhs."""
+        dl, d, du = self.dl, self.d, self.du
+        d.fill(1.0 + 2.0 * r)
+        du.fill(-r)
+        dl.fill(-r)
         # front row: value pinned to zero
-        ab[1, -1] = 1.0
-        ab[2, -2] = 0.0
+        d[-1] = 1.0
+        dl[-1] = 0.0
         rhs[-1] = 0.0
         if self.dirichlet:
-            ab[1, 0] = 1.0
-            ab[0, 1] = 0.0
+            d[0] = 1.0
+            du[0] = 0.0
             rhs[0] = 0.0
         else:
             # ghost reflection u[-1] == u[1]: row is (1+2r) u0 - 2r u1
-            ab[1, 0] = 1.0 + 2.0 * r
-            ab[0, 1] = -2.0 * r
-        return solve_banded((1, 1), ab, rhs, overwrite_ab=False, overwrite_b=True)
+            du[0] = -2.0 * r
+        _, _, _, x, info = dgtsv(dl, d, du, rhs, 1, 1, 1, 1)
+        if info:
+            raise NonFinite(f"tridiagonal solve failed (gtsv info={info})")
+        return x
 
     def advance(self, u: np.ndarray, v: np.ndarray, h: float, dt: float):
+        """One step from (u, v, h); returns the new (u, v, h, h', max(u + v)).
+
+        Raises NonFinite on NaN or infinity in the new fields or front and
+        StabilityViolation on a density below -1e-10.
+        """
         p = self.params
         hp = _flux(u, v, h, self.dxi, p)
         h_new = h + dt * hp
@@ -179,14 +199,18 @@ class _Stepper:
         u_new = self._implicit_solve(rhs_u, p.d1 * scale)
         v_new = self._implicit_solve(rhs_v, p.d2 * scale)
 
+        # builtin min drops a NaN in its second argument; the sup catches it
         low = min(u_new.min(), v_new.min())
-        if low < -1e-10:
+        if not low >= -1e-10:
+            if math.isnan(low):
+                raise NonFinite("state lost finiteness")
             raise StabilityViolation(f"min density {low:.3e} after step")
-        if not (np.all(np.isfinite(u_new)) and np.all(np.isfinite(v_new)) and math.isfinite(h_new)):
-            raise NonFinite("state lost finiteness")
         np.maximum(u_new, 0.0, out=u_new)
         np.maximum(v_new, 0.0, out=v_new)
-        return u_new, v_new, h_new, hp
+        sup = float(np.max(u_new + v_new))
+        if not (sup < math.inf and math.isfinite(h_new)):
+            raise NonFinite("state lost finiteness")
+        return u_new, v_new, h_new, hp, sup
 
 
 def _resample(init: InitialData, x_grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -233,7 +257,7 @@ def simulate(params: ModelParams, nl: Nonlinearity, init: InitialData,
         else:
             dt = num.dt_cap if hp == 0.0 else min(num.dt_cap, num.cfl * stepper.dxi * h / abs(hp))
         dt = min(dt, stop.t_end - t)
-        u, v, h, hp = stepper.advance(u, v, h, dt)
+        u, v, h, hp, sup_total = stepper.advance(u, v, h, dt)
         t += dt
 
         recorded = False
@@ -246,7 +270,6 @@ def simulate(params: ModelParams, nl: Nonlinearity, init: InitialData,
             snapshots.append(Snapshot(t=t, h=h, x=stepper.xi * h, u=u.copy(), v=v.copy()))
             snap_idx += 1
 
-        sup_total = float(np.max(u + v))
         if sup_total < VANISH_SUP:
             if vanish_t0 is None:
                 vanish_t0 = t

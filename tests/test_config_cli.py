@@ -275,6 +275,14 @@ class TestSemiwaveCommand:
         summary = json.loads((out / "semiwave.json").read_text())
         assert summary["residual_inf"] <= 1e-8
 
+    def test_speed_above_cstar_exits_2(self, tmp_path, capsys):
+        # c* = 2 on the symmetric set: the request, not the solver, is at fault
+        cfg = write_cfg(tmp_path / "fast.cfg", S1_BASE + "semiwave.c = 5\n")
+        out = tmp_path / "out"
+        assert main(["semiwave", "--config", cfg, "--out", str(out)]) == 2
+        assert "SpeedOutOfRange" in capsys.readouterr().err
+        assert not (out / "FAILED").exists()
+
 
 class TestCheckCommand:
     def test_admissible_setup_passes(self, tmp_path, capsys):

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
-from frontwave.errors import NegativeSpeed
+from frontwave.errors import NegativeSpeed, NonFinite, StabilityViolation
 from frontwave.fbsolver import SolverNumerics, StopRule, _flux, _Stepper, simulate
 from frontwave.model import InitialData, ModelParams, Nonlinearity, saturating
 
@@ -61,9 +62,9 @@ class TestStep:
     def test_zero_data_is_fixed_point(self):
         p = ModelParams(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, "dirichlet")
         stepper = _Stepper(p, saturating(), 100)
-        u, v, h, hp = stepper.advance(np.zeros(101), np.zeros(101), 2.0, 1e-3)
+        u, v, h, hp, sup = stepper.advance(np.zeros(101), np.zeros(101), 2.0, 1e-3)
         assert np.all(u == 0.0) and np.all(v == 0.0)
-        assert h == 2.0 and hp == 0.0
+        assert h == 2.0 and hp == 0.0 and sup == 0.0
 
     def test_heat_kernel_decay_rate(self):
         # decoupled pure-diffusion check: frozen front, Dirichlet both ends,
@@ -77,6 +78,82 @@ class TestStep:
         rate = -(math.log(trace.sup_u[-1]) - math.log(trace.sup_u[0])) / (trace.t[-1] - trace.t[0])
         assert abs(rate - math.pi ** 2) / math.pi ** 2 <= 0.01
         assert trace.h[-1] == 1.0  # mu = 0 freezes the front
+
+
+    @pytest.mark.parametrize("field", [0, 1])
+    @pytest.mark.parametrize("value, error", [
+        (math.nan, NonFinite),
+        (math.inf, NonFinite),
+        (-10.0, StabilityViolation),
+    ])
+    def test_guards(self, s1_nl, s1_neumann, field, value, error):
+        stepper = _Stepper(s1_neumann, s1_nl, 100)
+        state = [np.cos(0.5 * np.pi * stepper.xi), np.cos(0.5 * np.pi * stepper.xi)]
+        state[field][50] = value  # interior node, away from the front stencil
+        with np.errstate(all="ignore"), pytest.raises(error):
+            stepper.advance(state[0], state[1], 2.0, 1e-3)
+
+
+def reference_advance(params, nl, n, u, v, h, dt):
+    """The step written on scipy.linalg.solve_banded, with its own band matrix."""
+    xi = np.linspace(0.0, 1.0, n + 1)
+    dxi = 1.0 / n
+    hp = _flux(u, v, h, dxi, params)
+    h_new = h + dt * hp
+    adv = xi * (hp / h)
+    grad_u, grad_v = np.zeros_like(u), np.zeros_like(v)
+    grad_u[1:-1] = (u[2:] - u[:-2]) / (2.0 * dxi)
+    grad_v[1:-1] = (v[2:] - v[:-2]) / (2.0 * dxi)
+    rhs_u = u + dt * (adv * grad_u - params.a * u + nl.H(v))
+    rhs_v = v + dt * (adv * grad_v - params.b * v + nl.G(u))
+
+    def solve(rhs, r):
+        ab = np.zeros((3, n + 1))
+        ab[1, :] = 1.0 + 2.0 * r
+        ab[0, 1:] = -r
+        ab[2, :-1] = -r
+        ab[1, -1], ab[2, -2], rhs[-1] = 1.0, 0.0, 0.0
+        if params.boundary == "dirichlet":
+            ab[1, 0], ab[0, 1], rhs[0] = 1.0, 0.0, 0.0
+        else:
+            ab[1, 0], ab[0, 1] = 1.0 + 2.0 * r, -2.0 * r
+        return solve_banded((1, 1), ab, rhs)
+
+    scale = dt / (h_new * h_new * dxi * dxi)
+    u_new = np.maximum(solve(rhs_u, params.d1 * scale), 0.0)
+    v_new = np.maximum(solve(rhs_v, params.d2 * scale), 0.0)
+    return u_new, v_new, h_new, hp, float(np.max(u_new + v_new))
+
+
+class TestStepBitwise:
+    @pytest.mark.parametrize("boundary", ["neumann", "dirichlet"])
+    @pytest.mark.parametrize("n", [3, 40, 400])
+    def test_matches_solve_banded_reference(self, boundary, n):
+        rng = np.random.default_rng(11 + n)
+        for _ in range(4):
+            d1, d2, a, b = rng.uniform(0.3, 3.0, 4)
+            params = ModelParams(d1, d2, a, b, rng.uniform(0.0, 2.0), rng.uniform(0.0, 2.0),
+                                 boundary)
+            nl = saturating(*rng.uniform(0.5, 3.0, 4))
+            stepper = _Stepper(params, nl, n)
+            xi = stepper.xi
+            shape = np.sin(np.pi * xi) if boundary == "dirichlet" else np.cos(0.5 * np.pi * xi)
+            u, v = (rng.uniform(0.1, 3.0) * shape
+                    * (1.0 + 0.3 * np.sin(2.0 * np.pi * rng.integers(1, 4) * xi + rng.uniform(0, 6)))
+                    for _ in range(2))
+            u[-1] = v[-1] = 0.0
+            if boundary == "dirichlet":
+                u[0] = v[0] = 0.0
+            h = rng.uniform(0.5, 5.0)
+            ref = (u.copy(), v.copy(), h)
+            for _ in range(10):
+                dt = rng.uniform(1e-4, 2e-3)
+                got = stepper.advance(u, v, h, dt)
+                want = reference_advance(params, nl, n, *ref, dt)
+                assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+                assert got[2:] == want[2:]
+                u, v, h = got[:3]
+                ref = want[:3]
 
 
 class TestSimulate:
