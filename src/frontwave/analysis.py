@@ -15,7 +15,7 @@ carries positive slack.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 
 import numpy as np
@@ -435,6 +435,7 @@ class OutcomeReport:
     drift_variation: float | None
     profile_sup_error: tuple
     interior_fit: dict | None
+    run: dict  # the solver's RunStats: step counts and the accepted dt range
 
     def to_json(self) -> str:
         return json_dumps({
@@ -444,6 +445,7 @@ class OutcomeReport:
             "drift_variation": self.drift_variation,
             "profile_sup_error": [[t, e] for t, e in self.profile_sup_error],
             "interior_fit": self.interior_fit,
+            "run": self.run,
         })
 
 
@@ -494,4 +496,5 @@ def build_outcome_report(trace: RunTrace, thresholds: AnalysisThresholds,
         drift_variation=drift_var,
         profile_sup_error=tuple(errors),
         interior_fit=interior,
+        run=asdict(trace.stats),
     )

@@ -181,7 +181,7 @@ def build_solver_numerics(cfg: RunConfig) -> SolverNumerics:
     snaps = cfg.getfloats("output.snapshots") or ()
     return SolverNumerics(
         n=cfg.getint("numerics.n", 400),
-        dt_cap=cfg.getfloat("numerics.dt_cap", 1e-3),
+        dt_cap=cfg.getfloat("numerics.dt_cap", SolverNumerics.dt_cap),
         cfl=cfg.getfloat("numerics.cfl", 0.4),
         trace_cadence=cfg.getfloat("output.cadence", 0.1),
         snapshot_times=tuple(snaps),

@@ -80,6 +80,10 @@ class StabilityViolation(SolverError):
     """Time step produced significantly negative densities."""
 
 
+class StepSizeCollapse(SolverError):
+    """The step-size controller drove dt below its floor."""
+
+
 class NonFinite(SolverError):
     """NaN or Inf appeared in the state."""
 

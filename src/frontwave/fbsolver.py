@@ -7,16 +7,28 @@ xi = x / h(t), turning the system into
     v_t = (d2/h^2) v_xixi + (xi h'/h) v_xi - b v + G(u),
     h'  = -(mu1 u_xi(1) + mu2 v_xi(1)) / h,
 
-with u = v = 0 at xi = 1 and the configured operator at xi = 0. One step
-of the kernel (_Stepper.advance): Stefan flux from the current state
-(model._one_sided_slope on the reversed fields, the stencil the semi-wave
-slope extraction uses, so simulated and semi-wave speeds share
-discretization bias), explicit front update, explicit advection +
-reaction, implicit diffusion (one tridiagonal solve per component,
-evaluated on the advanced front, by LAPACK gtsv called directly on band
-buffers the stepper allocates once). Neumann at xi = 0 enters by
-ghost-node reflection. Time step obeys dt <= cfl * dxi * h / |h'|, capped
-at dt_cap.
+with u = v = 0 at xi = 1 and the configured operator at xi = 0. The
+explicit part of a step is the Stefan flux (model._one_sided_slope on the
+reversed fields, the stencil the semi-wave slope extraction uses, so
+simulated and semi-wave speeds share discretization bias), the front
+update, advection and reaction; the implicit part is diffusion, evaluated
+on the advanced front (one tridiagonal solve per component, by LAPACK gtsv
+called directly on band buffers the stepper allocates once). Neumann at
+xi = 0 enters by ghost-node reflection.
+
+Steps are variable-step IMEX SBDF2 (Ascher, Ruuth & Wetton 1995) for u, v
+and h, written in increment form (_Stepper.sbdf2). IMEX Euler
+(_Stepper.advance) takes the first step, which has no history, and redoes
+any SBDF2 step that fails the guards below: BDF2 is not positivity
+preserving once its roots turn complex (lambda dt > 1/2). dt is the
+smallest of the CFL bound cfl * dxi * h / h', dt_cap, twice the previous
+step (variable-step BDF2 is zero-stable for ratios below 1 + sqrt 2) and
+the error controller's choice, which rejects and retries any step whose
+local-error estimate (_Stepper.local_error) exceeds _LTE_TOL; below
+dt = 1e-12 max(1, t) the run raises StepSizeCollapse. Every output
+interval (trace cadence, snapshot times, t_end) is split into equal steps
+that land exactly on its end. fixed_dt replaces the controller, the CFL
+bound and dt_cap, for convergence studies.
 
 The solve does not check its input for NaN or infinity. The step's guards
 are the only finiteness check: the minimum over both fields catches
@@ -35,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg.lapack import dgtsv
 
-from .errors import NegativeSpeed, NonFinite, StabilityViolation
+from .errors import NegativeSpeed, NonFinite, StabilityViolation, StepSizeCollapse
 from .model import (
     BoundaryKind,
     InitialData,
@@ -50,6 +62,7 @@ __all__ = [
     "SolverNumerics",
     "StopRule",
     "Snapshot",
+    "RunStats",
     "RunTrace",
     "simulate",
 ]
@@ -61,13 +74,20 @@ _trapz = getattr(np, "trapezoid", None) or np.trapz
 VANISH_SUP = 1e-6
 VANISH_SUSTAIN = 1.0
 
+# local-error tolerance of the step-size controller, relative to h and to
+# max(sup u, sup v, VANISH_SUP); below VANISH_SUP the run counts as vanished
+_LTE_TOL = 1e-4
+# first step of an error-controlled run, taken by IMEX Euler without an
+# error estimate; dt at most doubles per step from there
+_DT_FIRST = 1e-4
+
 
 @dataclass(frozen=True)
 class SolverNumerics:
     n: int = 400                    # grid cells on [0, 1]
-    dt_cap: float = 1e-3
+    dt_cap: float = 0.1             # ceiling; the CFL bound and error control set dt
     cfl: float = 0.4
-    fixed_dt: float | None = None   # exact step for convergence studies
+    fixed_dt: float | None = None   # step for convergence studies; output times still split it
     trace_cadence: float = 0.1
     snapshot_times: tuple = ()
 
@@ -75,9 +95,10 @@ class SolverNumerics:
         # written as not (...) so that NaN fails too; a zero step or cadence
         # would never advance the clock or the next trace sample
         if not (self.n >= 2 and 0 < self.dt_cap < math.inf and 0 < self.cfl < math.inf
-                and 0 < self.trace_cadence < math.inf):
+                and 0 < self.trace_cadence < math.inf
+                and (self.fixed_dt is None or 0 < self.fixed_dt < math.inf)):
             raise ValueError("solver numerics need n >= 2 and positive finite "
-                             "dt_cap, cfl and trace cadence")
+                             "dt_cap, cfl, fixed_dt and trace cadence")
 
 
 @dataclass(frozen=True)
@@ -100,6 +121,21 @@ class Snapshot:
 
 
 @dataclass
+class RunStats:
+    """Step counts and the range of accepted steps; deterministic per config."""
+    steps: int = 0             # accepted steps
+    rejected: int = 0          # steps redone smaller by the error controller
+    euler_fallbacks: int = 0   # SBDF2 candidates redone by IMEX Euler
+    dt_min: float = math.inf
+    dt_max: float = 0.0
+
+    def record(self, dt: float) -> None:
+        self.steps += 1
+        self.dt_min = min(self.dt_min, dt)
+        self.dt_max = max(self.dt_max, dt)
+
+
+@dataclass
 class RunTrace:
     t: np.ndarray
     h: np.ndarray
@@ -110,6 +146,7 @@ class RunTrace:
     snapshots: list = field(default_factory=list)
     stop_reason: str = ""
     h0: float = 0.0
+    stats: RunStats = field(default_factory=RunStats)
 
     def to_csv(self, path) -> None:
         write_csv(path, ("t", "h", "hprime", "sup_u", "sup_v", "mass"),
@@ -138,7 +175,7 @@ def _flux(u: np.ndarray, v: np.ndarray, h: float, dxi: float, params: ModelParam
 
 
 class _Stepper:
-    """Preallocated one-step kernel; simulate() drives it."""
+    """Preallocated step kernels; simulate() drives them."""
 
     def __init__(self, params: ModelParams, nl: Nonlinearity, n: int):
         self.params = params
@@ -174,31 +211,34 @@ class _Stepper:
             raise NonFinite(f"tridiagonal solve failed (gtsv info={info})")
         return x
 
-    def advance(self, u: np.ndarray, v: np.ndarray, h: float, dt: float):
-        """One step from (u, v, h); returns the new (u, v, h, h', max(u + v)).
-
-        Raises NonFinite on NaN or infinity in the new fields or front and
-        StabilityViolation on a density below -1e-10.
-        """
+    def rates(self, u: np.ndarray, v: np.ndarray, h: float) -> tuple:
+        """Explicit rates at (u, v, h): the front speed h' and the advection +
+        reaction right-hand sides of u and v."""
         p = self.params
         hp = _flux(u, v, h, self.dxi, p)
-        h_new = h + dt * hp
-
         adv = self.xi * (hp / h)
         grad_u = np.empty_like(u)
         grad_v = np.empty_like(v)
         grad_u[1:-1] = (u[2:] - u[:-2]) / (2.0 * self.dxi)
         grad_v[1:-1] = (v[2:] - v[:-2]) / (2.0 * self.dxi)
-        grad_u[0] = grad_u[-1] = 0.0  # boundary rows are overwritten below
+        grad_u[0] = grad_u[-1] = 0.0  # boundary rows are overwritten by the solve
         grad_v[0] = grad_v[-1] = 0.0
+        return (hp, adv * grad_u - p.a * u + self.nl.H(v),
+                adv * grad_v - p.b * v + self.nl.G(u))
 
-        rhs_u = u + dt * (adv * grad_u - p.a * u + self.nl.H(v))
-        rhs_v = v + dt * (adv * grad_v - p.b * v + self.nl.G(u))
-
+    def _diffuse(self, rhs_u: np.ndarray, rhs_v: np.ndarray, h_new: float, dt: float):
+        """(I - dt D(h_new))^-1 applied to both right-hand sides, in place."""
         scale = dt / (h_new * h_new * self.dxi * self.dxi)
-        u_new = self._implicit_solve(rhs_u, p.d1 * scale)
-        v_new = self._implicit_solve(rhs_v, p.d2 * scale)
+        return (self._implicit_solve(rhs_u, self.params.d1 * scale),
+                self._implicit_solve(rhs_v, self.params.d2 * scale))
 
+    @staticmethod
+    def _guard(u_new: np.ndarray, v_new: np.ndarray, h_new: float) -> float:
+        """Clip the new fields to >= 0 and return max(u + v).
+
+        Raises NonFinite on NaN or infinity in the fields or front and
+        StabilityViolation on a density below -1e-10.
+        """
         # builtin min drops a NaN in its second argument; the sup catches it
         low = min(u_new.min(), v_new.min())
         if not low >= -1e-10:
@@ -210,7 +250,62 @@ class _Stepper:
         sup = float(np.max(u_new + v_new))
         if not (sup < math.inf and math.isfinite(h_new)):
             raise NonFinite("state lost finiteness")
-        return u_new, v_new, h_new, hp, sup
+        return sup
+
+    def advance(self, u: np.ndarray, v: np.ndarray, h: float, dt: float):
+        """One IMEX Euler step from (u, v, h); returns the new (u, v, h, h', max(u + v)).
+
+        h' is the front speed at the old state, which the step used. Raises
+        as _guard does.
+        """
+        hp, fu, fv = self.rates(u, v, h)
+        h_new = h + dt * hp
+        u_new, v_new = self._diffuse(u + dt * fu, v + dt * fv, h_new, dt)
+        return u_new, v_new, h_new, hp, self._guard(u_new, v_new, h_new)
+
+    def sbdf2(self, u: np.ndarray, v: np.ndarray, h: float, rates: tuple,
+              hist: tuple, dt: float, omega: float):
+        """One variable-step IMEX SBDF2 step; returns the new (u, v, h, max(u + v)).
+
+        ``rates`` are the explicit rates at (u, v, h); ``hist`` holds the
+        increments (u - u_prev, v - v_prev, h - h_prev) over the previous
+        step and the rates at its start; omega = dt / dt_prev. Written in
+        increment form, so a frozen front and zero data stay bit-exact.
+        Raises as _guard does.
+        """
+        hp, fu, fv = rates
+        du, dv, dh, (hp_o, fu_o, fv_o) = hist
+        w1 = 1.0 + omega
+        g = (1.0 + 2.0 * omega) / w1
+        c1 = omega * omega / w1
+        h_new = h + (c1 * dh + dt * (w1 * hp - omega * hp_o)) / g
+        u_new, v_new = self._diffuse(u + (c1 * du + dt * (w1 * fu - omega * fu_o)) / g,
+                                     v + (c1 * dv + dt * (w1 * fv - omega * fv_o)) / g,
+                                     h_new, dt / g)
+        return u_new, v_new, h_new, self._guard(u_new, v_new, h_new)
+
+    def local_error(self, new: tuple, u: np.ndarray, v: np.ndarray, h: float,
+                    hist: tuple, dt: float, omega: float) -> float:
+        """Relative local-error estimate of the step from (u, v, h) to ``new``.
+
+        The estimate is the new level minus the linear extrapolation of the
+        last two; on the fields it is filtered through (I - (dt/g) D)^-1,
+        which damps the stiff diffusive modes that SBDF2 already resolves.
+        It is measured relative to h and to max(sup u, sup v, VANISH_SUP).
+        """
+        u_new, v_new, h_new = new[:3]
+        du, dv, dh = hist[:3]
+        g = (1.0 + 2.0 * omega) / (1.0 + omega)
+        eu, ev = self._diffuse(u_new - u - omega * du, v_new - v - omega * dv, h_new, dt / g)
+        size = max(u_new.max(), v_new.max(), VANISH_SUP)
+        return max(abs(h_new - h - omega * dh) / h_new,
+                   max(np.abs(eu).max(), np.abs(ev).max()) / size)
+
+
+def _time_floor(t: float) -> float:
+    """Output times closer than this to t count as reached, and a step
+    shorter than this is a collapse."""
+    return 1e-12 * max(1.0, t)
 
 
 def _resample(init: InitialData, x_grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -241,56 +336,101 @@ def simulate(params: ModelParams, nl: Nonlinearity, init: InitialData,
     if stepper.dirichlet:
         u[0] = v[0] = 0.0
 
+    def row():
+        return (t, h, rates[0], u.max(), v.max(), h * _trapz(u + v, dx=stepper.dxi))
+
+    def take_snapshots():
+        nonlocal snap_idx
+        while snap_idx < len(snap_times) and snap_times[snap_idx] <= t + _time_floor(t):
+            snapshots.append(Snapshot(t=t, h=h, x=stepper.xi * h, u=u.copy(), v=v.copy()))
+            snap_idx += 1
+
     t = 0.0
-    hp = _flux(u, v, h, stepper.dxi, params)
-    rows = [(t, h, hp, u.max(), v.max(), h * _trapz(u + v, dx=stepper.dxi))]
+    rates = stepper.rates(u, v, h)
+    rows = [row()]
     snapshots: list[Snapshot] = []
     snap_times = sorted(num.snapshot_times)
     snap_idx = 0
-    next_record = num.trace_cadence
+    take_snapshots()
+    k_record = 1  # the next trace row is due at k_record * trace_cadence
+    cadence = num.trace_cadence
+    hist = None  # increments over the last step and the rates at its start
+    dt_prev = dt_next = num.fixed_dt or _DT_FIRST
+    stats = RunStats()
     vanish_t0 = None
     stop_reason = ""
 
     while True:
-        if num.fixed_dt is not None:
-            dt = num.fixed_dt
-        else:
-            dt = num.dt_cap if hp == 0.0 else min(num.dt_cap, num.cfl * stepper.dxi * h / abs(hp))
-        dt = min(dt, stop.t_end - t)
-        u, v, h, hp, sup_total = stepper.advance(u, v, h, dt)
-        t += dt
+        target = min(k_record * cadence, stop.t_end,
+                     snap_times[snap_idx] if snap_idx < len(snap_times) else math.inf)
+        while True:  # attempts at one step; the error controller may reject some
+            dt = min(dt_next, 2.0 * dt_prev)  # omega <= 2 keeps variable-step SBDF2 zero-stable
+            if num.fixed_dt is None:
+                hp = rates[0]
+                dt = min(dt, num.dt_cap, math.inf if hp == 0.0 else num.cfl * stepper.dxi * h / hp)
+            if not dt >= _time_floor(t):
+                raise StepSizeCollapse(f"dt = {dt:.3e} at t = {t:.9g}")
+            # split what is left of the output interval into equal steps
+            k = max(1, math.ceil((target - t) / dt - 1e-6))
+            dt = (target - t) / k
+            omega = dt / dt_prev
+            new = None
+            if hist is not None:
+                try:
+                    new = stepper.sbdf2(u, v, h, rates, hist, dt, omega)
+                except (StabilityViolation, NonFinite):
+                    stats.euler_fallbacks += 1  # redone below; Euler's guards raise
+            if new is None:
+                u_new, v_new, h_new, _, sup = stepper.advance(u, v, h, dt)
+                new = (u_new, v_new, h_new, sup)
+            if num.fixed_dt is not None or hist is None:
+                break
+            err = stepper.local_error(new, u, v, h, hist, dt, omega)
+            factor = 0.9 * math.sqrt(_LTE_TOL / err) if err else math.inf
+            if err <= _LTE_TOL:
+                dt_next = dt * factor
+                break
+            stats.rejected += 1
+            dt_next = dt * max(0.2, factor)
+
+        u_new, v_new, h_new, sup_total = new
+        hist = (u_new - u, v_new - v, h_new - h, rates)
+        u, v, h = u_new, v_new, h_new
+        t = target if k == 1 else t + dt
+        dt_prev = dt
+        stats.record(dt)
+        rates = stepper.rates(u, v, h)
+        t_tol = _time_floor(t)
 
         recorded = False
-        if t >= next_record - 1e-12:
-            rows.append((t, h, hp, u.max(), v.max(), h * _trapz(u + v, dx=stepper.dxi)))
+        if k_record * cadence <= t + t_tol:
+            rows.append(row())
             recorded = True
-            while next_record <= t + 1e-12:
-                next_record += num.trace_cadence
-        while snap_idx < len(snap_times) and t >= snap_times[snap_idx] - 1e-12:
-            snapshots.append(Snapshot(t=t, h=h, x=stepper.xi * h, u=u.copy(), v=v.copy()))
-            snap_idx += 1
+            while k_record * cadence <= t + t_tol:
+                k_record += 1
+        take_snapshots()
 
         if sup_total < VANISH_SUP:
             if vanish_t0 is None:
                 vanish_t0 = t
             # one extra cadence so the *sampled* stretch also spans the window
-            elif t - vanish_t0 >= VANISH_SUSTAIN + num.trace_cadence:
+            elif t - vanish_t0 >= VANISH_SUSTAIN + cadence:
                 stop_reason = "vanishing"
         else:
             vanish_t0 = None
 
-        if not stop_reason and t >= stop.t_end - 1e-12:
+        if not stop_reason and t >= stop.t_end - t_tol:
             stop_reason = "t_end"
         if not stop_reason and h >= stop.x_budget:
             stop_reason = "front_budget"
         if stop_reason:
             if not recorded:
-                rows.append((t, h, hp, u.max(), v.max(), h * _trapz(u + v, dx=stepper.dxi)))
+                rows.append(row())
             break
 
     cols = list(zip(*rows))
     return RunTrace(
         t=np.asarray(cols[0]), h=np.asarray(cols[1]), hprime=np.asarray(cols[2]),
         sup_u=np.asarray(cols[3]), sup_v=np.asarray(cols[4]), mass=np.asarray(cols[5]),
-        snapshots=snapshots, stop_reason=stop_reason, h0=float(init.h0),
+        snapshots=snapshots, stop_reason=stop_reason, h0=float(init.h0), stats=stats,
     )

@@ -141,12 +141,10 @@ def test_criterion_04_sharp_drift(drift_runs, s1_c0):
 
 
 def _error_series(trace, profile, c0, dirichlet):
-    # keyed by the nominal snapshot time (the recorded time is the first
-    # step at or past it, a dt or so later)
     series = {}
     for snap in trace.snapshots:
         x_lo = 0.5 * c0 * snap.t if dirichlet else 0.0
-        series[round(snap.t * 2) / 2] = analysis.profile_error(snap, profile, (x_lo, snap.h))
+        series[snap.t] = analysis.profile_error(snap, profile, (x_lo, snap.h))
     return series
 
 

@@ -235,7 +235,7 @@ class TestOutcomeReport:
         assert report.classification is Classification.SPREADING
         payload = json.loads(report.to_json())
         assert set(payload) == {"classification", "c_hat", "h_star_hat",
-                                "drift_variation", "profile_sup_error", "interior_fit"}
+                                "drift_variation", "profile_sup_error", "interior_fit", "run"}
         assert payload["classification"] == "Spreading"
         assert payload["c_hat"] > 0.0
         assert len(payload["profile_sup_error"]) == 2

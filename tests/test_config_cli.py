@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from frontwave import fbsolver
 from frontwave.cli import main
 from frontwave.config import ConfigError, RunConfig, build_params, sweep_cells
 
@@ -145,6 +146,9 @@ class TestSimulateCommand:
         report = json.loads((out / "report.json").read_text())
         assert report["classification"] == "Spreading"
         assert report["c_hat"] > 0.0
+        run = report["run"]
+        assert set(run) == {"steps", "rejected", "euler_fallbacks", "dt_min", "dt_max"}
+        assert run["steps"] > 0 and 0.0 < run["dt_min"] <= run["dt_max"]
 
     def test_vanishing_run_classified(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "van.cfg", SIM_VANISH)
@@ -185,6 +189,16 @@ class TestSimulateCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["failed"] is True
         assert [entry["name"] for entry in manifest["files"]] == ["FAILED"]
+
+    def test_step_size_collapse_exits_3_with_marker(self, tmp_path, monkeypatch):
+        # a zero error tolerance rejects every step until dt hits its floor
+        monkeypatch.setattr(fbsolver, "_LTE_TOL", 0.0)
+        text = RunConfig.parse(SIM_NEUMANN).override({"stop.t_end": "1"}).serialize()
+        cfg = write_cfg(tmp_path / "collapse.cfg", text)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 3
+        assert (out / "FAILED").read_text().startswith("StepSizeCollapse:")
+        assert json.loads((out / "manifest.json").read_text())["failed"] is True
 
     def test_output_dir_collision_exits_4(self, tmp_path):
         cfg = write_cfg(tmp_path / "sim.cfg", SIM_NEUMANN)

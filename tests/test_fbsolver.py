@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
-from frontwave.errors import NegativeSpeed, NonFinite, StabilityViolation
+from frontwave import fbsolver
+from frontwave.errors import NegativeSpeed, NonFinite, StabilityViolation, StepSizeCollapse
 from frontwave.fbsolver import SolverNumerics, StopRule, _flux, _Stepper, simulate
 from frontwave.model import InitialData, ModelParams, Nonlinearity, saturating
 
@@ -223,6 +224,67 @@ class TestSimulate:
             h_end[n] = simulate(s1_neumann, s1_nl, init, num, StopRule(t_end=5.0)).h[-1]
         order = math.log2(abs(h_end[100] - h_end[200]) / abs(h_end[200] - h_end[400]))
         assert 1.5 <= order <= 2.5
+
+    def test_output_times_exact(self, s1_nl, s1_neumann):
+        # trace rows at k * cadence and snapshots at the requested times, bit
+        # for bit; 0.25 lies between two trace rows
+        num = SolverNumerics(n=50, trace_cadence=0.1, snapshot_times=(0.25, 0.5, 1.0))
+        trace = simulate(s1_neumann, s1_nl, InitialData.cosine_bump(2.0, 0.5, 201), num,
+                         StopRule(t_end=1.0))
+        assert np.array_equal(trace.t, np.arange(11) * 0.1)
+        assert [s.t for s in trace.snapshots] == [0.25, 0.5, 1.0]
+
+    def test_readme_run_step_count(self, s1_nl, s1_neumann):
+        # the README simulate config; dt was pinned at 1e-3 (60 000 steps)
+        num = SolverNumerics(n=400, trace_cadence=0.1, snapshot_times=(15.0, 30.0, 45.0, 60.0))
+        trace = simulate(s1_neumann, s1_nl, InitialData.cosine_bump(2.0, 0.5, 401), num,
+                         StopRule(t_end=60.0))
+        stats = trace.stats
+        assert stats.steps <= 3500
+        assert 0 <= stats.rejected <= stats.steps and stats.euler_fallbacks == 0
+        assert 0.0 < stats.dt_min < stats.dt_max <= num.trace_cadence
+
+    def test_vanishing_with_euler_fallback(self, s1_nl, s1_dirichlet):
+        # criterion 7's vanishing config at a step as long as the cadence:
+        # SBDF2 oscillates on the fast-decaying modes and goes negative, and
+        # IMEX Euler redoes those steps
+        init = InitialData.sine(0.2, 0.01, 101)
+        num = SolverNumerics(n=100, trace_cadence=0.01, fixed_dt=0.01)
+        trace = simulate(s1_dirichlet, s1_nl, init, num, StopRule(t_end=50.0))
+        assert trace.stop_reason == "vanishing"
+        assert trace.h[-1] < math.pi
+        assert trace.stats.euler_fallbacks >= 1
+
+    def test_step_size_collapse(self, s1_nl, s1_neumann, monkeypatch):
+        # a zero tolerance rejects every error-controlled step until dt hits the floor
+        monkeypatch.setattr(fbsolver, "_LTE_TOL", 0.0)
+        with pytest.raises(StepSizeCollapse):
+            simulate(s1_neumann, s1_nl, InitialData.cosine_bump(2.0, 0.5, 201),
+                     SolverNumerics(n=50), StopRule(t_end=1.0))
+
+    @staticmethod
+    def _time_order(params, nl, init, t_end):
+        h_end = [simulate(params, nl, init, SolverNumerics(n=100, fixed_dt=dt, trace_cadence=0.5),
+                          StopRule(t_end=t_end)).h[-1] for dt in (1e-3, 5e-4, 2.5e-4)]
+        return math.log2(abs(h_end[0] - h_end[1]) / abs(h_end[1] - h_end[2]))
+
+    def test_second_order_in_time(self, s1_nl, s1_dirichlet):
+        # start from a state the solver has already smoothed, so no
+        # grid-scale transient is left (see the next test)
+        snap = simulate(s1_dirichlet, s1_nl, InitialData.sine(2.0, 0.5, 201),
+                        SolverNumerics(n=100, snapshot_times=(1.0,)),
+                        StopRule(t_end=1.0)).snapshots[0]
+        init = InitialData(h0=snap.h, x=snap.x, u0=snap.u, v0=snap.v)
+        assert 1.7 <= self._time_order(s1_dirichlet, s1_nl, init, 2.0) <= 2.3
+
+    def test_time_order_from_incompatible_data(self, s1_nl, s1_neumann):
+        # the cosine bump has u_xx = 0 at the front where the moving boundary
+        # needs d u_xx = -h' u_x: the start excites grid-scale modes with
+        # lambda dt >> 1, whose front flux the explicit front update
+        # integrates with an O(dt) error; the order sits between 1 and 2
+        # (about 1.6 at n = 100; IMEX Euler alone gives 1.0)
+        order = self._time_order(s1_neumann, s1_nl, InitialData.cosine_bump(2.0, 0.5, 201), 5.0)
+        assert 1.4 <= order <= 2.3
 
 
 class TestTraceExport:
