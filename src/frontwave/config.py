@@ -30,7 +30,7 @@ _KNOWN_KEYS = {
     "model.d1", "model.d2", "model.a", "model.b",
     "model.mu1", "model.mu2", "model.boundary",
     "init.h0", "init.shape", "init.amplitude", "init.table", "init.nodes",
-    "numerics.n", "numerics.dt_cap", "numerics.cfl",
+    "numerics.n", "numerics.cfl",
     "numerics.dx_semiwave", "numerics.x_max", "numerics.c_tol", "numerics.f_tol",
     "semiwave.c",
     "stop.t_end", "stop.x_budget",
@@ -181,7 +181,6 @@ def build_solver_numerics(cfg: RunConfig) -> SolverNumerics:
     snaps = cfg.getfloats("output.snapshots") or ()
     return SolverNumerics(
         n=cfg.getint("numerics.n", 400),
-        dt_cap=cfg.getfloat("numerics.dt_cap", SolverNumerics.dt_cap),
         cfl=cfg.getfloat("numerics.cfl", 0.4),
         trace_cadence=cfg.getfloat("output.cadence", 0.1),
         snapshot_times=tuple(snaps),

@@ -21,14 +21,15 @@ and h, written in increment form (_Stepper.sbdf2). IMEX Euler
 (_Stepper.advance) takes the first step, which has no history, and redoes
 any SBDF2 step that fails the guards below: BDF2 is not positivity
 preserving once its roots turn complex (lambda dt > 1/2). dt is the
-smallest of the CFL bound cfl * dxi * h / h', dt_cap, twice the previous
-step (variable-step BDF2 is zero-stable for ratios below 1 + sqrt 2) and
-the error controller's choice, which rejects and retries any step whose
+smallest of the CFL bound cfl * dxi * h / h', twice the previous step
+(variable-step BDF2 is zero-stable for ratios below 1 + sqrt 2) and the
+error controller's choice, which rejects and retries any step whose
 local-error estimate (_Stepper.local_error) exceeds _LTE_TOL; below
 dt = 1e-12 max(1, t) the run raises StepSizeCollapse. Every output
 interval (trace cadence, snapshot times, t_end) is split into equal steps
-that land exactly on its end. fixed_dt replaces the controller, the CFL
-bound and dt_cap, for convergence studies.
+that land exactly on its end, so no step is longer than the trace
+cadence. fixed_dt replaces the controller and the CFL bound, for
+convergence studies.
 
 The solve does not check its input for NaN or infinity. The step's guards
 are the only finiteness check: the minimum over both fields catches
@@ -85,7 +86,6 @@ _DT_FIRST = 1e-4
 @dataclass(frozen=True)
 class SolverNumerics:
     n: int = 400                    # grid cells on [0, 1]
-    dt_cap: float = 0.1             # ceiling; the CFL bound and error control set dt
     cfl: float = 0.4
     fixed_dt: float | None = None   # step for convergence studies; output times still split it
     trace_cadence: float = 0.1
@@ -94,11 +94,11 @@ class SolverNumerics:
     def __post_init__(self):
         # written as not (...) so that NaN fails too; a zero step or cadence
         # would never advance the clock or the next trace sample
-        if not (self.n >= 2 and 0 < self.dt_cap < math.inf and 0 < self.cfl < math.inf
+        if not (self.n >= 2 and 0 < self.cfl < math.inf
                 and 0 < self.trace_cadence < math.inf
                 and (self.fixed_dt is None or 0 < self.fixed_dt < math.inf)):
             raise ValueError("solver numerics need n >= 2 and positive finite "
-                             "dt_cap, cfl, fixed_dt and trace cadence")
+                             "cfl, fixed_dt and trace cadence")
 
 
 @dataclass(frozen=True)
@@ -125,7 +125,7 @@ class RunStats:
     """Step counts and the range of accepted steps; deterministic per config."""
     steps: int = 0             # accepted steps
     rejected: int = 0          # steps redone smaller by the error controller
-    euler_fallbacks: int = 0   # SBDF2 candidates redone by IMEX Euler
+    euler_fallbacks: int = 0   # accepted steps that IMEX Euler redid for SBDF2
     dt_min: float = math.inf
     dt_max: float = 0.0
 
@@ -367,7 +367,8 @@ def simulate(params: ModelParams, nl: Nonlinearity, init: InitialData,
             dt = min(dt_next, 2.0 * dt_prev)  # omega <= 2 keeps variable-step SBDF2 zero-stable
             if num.fixed_dt is None:
                 hp = rates[0]
-                dt = min(dt, num.dt_cap, math.inf if hp == 0.0 else num.cfl * stepper.dxi * h / hp)
+                if hp > 0.0:
+                    dt = min(dt, num.cfl * stepper.dxi * h / hp)
             if not dt >= _time_floor(t):
                 raise StepSizeCollapse(f"dt = {dt:.3e} at t = {t:.9g}")
             # split what is left of the output interval into equal steps
@@ -379,7 +380,8 @@ def simulate(params: ModelParams, nl: Nonlinearity, init: InitialData,
                 try:
                     new = stepper.sbdf2(u, v, h, rates, hist, dt, omega)
                 except (StabilityViolation, NonFinite):
-                    stats.euler_fallbacks += 1  # redone below; Euler's guards raise
+                    pass  # redone below by IMEX Euler, whose guards raise
+            fell_back = new is None and hist is not None
             if new is None:
                 u_new, v_new, h_new, _, sup = stepper.advance(u, v, h, dt)
                 new = (u_new, v_new, h_new, sup)
@@ -399,6 +401,8 @@ def simulate(params: ModelParams, nl: Nonlinearity, init: InitialData,
         t = target if k == 1 else t + dt
         dt_prev = dt
         stats.record(dt)
+        if fell_back:
+            stats.euler_fallbacks += 1
         rates = stepper.rates(u, v, h)
         t_tol = _time_floor(t)
 

@@ -159,7 +159,7 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize("key, value", [
         ("output.cadence", "0"),         # would never advance the next trace sample
-        ("numerics.dt_cap", "0"),        # would never advance the clock
+        ("numerics.dt_cap", "0"),        # no longer a key: the error controller sets dt
         ("numerics.cfl", "-1"),
         ("numerics.dx_semiwave", "0"),   # would divide by zero in the profile grid
         ("numerics.x_max", "-5"),
@@ -172,8 +172,9 @@ class TestSimulateCommand:
         ("nonlinearity.hp", "nan"),
     ])
     def test_bad_value_rejected_before_run(self, tmp_path, key, value):
-        text = RunConfig.parse(SIM_NEUMANN).override({key: value}).serialize()
-        cfg = write_cfg(tmp_path / "bad.cfg", text)
+        # replaced in the text, so a removed key reaches the CLI too
+        kept = [line for line in SIM_NEUMANN.splitlines() if line.partition("=")[0].strip() != key]
+        cfg = write_cfg(tmp_path / "bad.cfg", "\n".join(kept + [f"{key} = {value}", ""]))
         out = tmp_path / "out"
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
         assert not (out / "trace.csv").exists()

@@ -269,22 +269,22 @@ class TestSimulate:
         return math.log2(abs(h_end[0] - h_end[1]) / abs(h_end[1] - h_end[2]))
 
     def test_second_order_in_time(self, s1_nl, s1_dirichlet):
-        # start from a state the solver has already smoothed, so no
-        # grid-scale transient is left (see the next test)
+        # start from a state the solver has already smoothed, which meets the
+        # moving-front compatibility condition that the sine start breaks
+        # (see the next test)
         snap = simulate(s1_dirichlet, s1_nl, InitialData.sine(2.0, 0.5, 201),
                         SolverNumerics(n=100, snapshot_times=(1.0,)),
                         StopRule(t_end=1.0)).snapshots[0]
         init = InitialData(h0=snap.h, x=snap.x, u0=snap.u, v0=snap.v)
         assert 1.7 <= self._time_order(s1_dirichlet, s1_nl, init, 2.0) <= 2.3
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "the cosine bump has u_xx = 0 at the front where the moving boundary needs "
+        "d u_xx = -h' u_x, so h' starts with a t^(1/2) term; at n = 100 the order "
+        "is 1.58 here and rises toward 2 only as dt falls (1.71 at 2.5e-4/1.25e-4/6.25e-5)"))
     def test_time_order_from_incompatible_data(self, s1_nl, s1_neumann):
-        # the cosine bump has u_xx = 0 at the front where the moving boundary
-        # needs d u_xx = -h' u_x: the start excites grid-scale modes with
-        # lambda dt >> 1, whose front flux the explicit front update
-        # integrates with an O(dt) error; the order sits between 1 and 2
-        # (about 1.6 at n = 100; IMEX Euler alone gives 1.0)
         order = self._time_order(s1_neumann, s1_nl, InitialData.cosine_bump(2.0, 0.5, 201), 5.0)
-        assert 1.4 <= order <= 2.3
+        assert 1.7 <= order <= 2.3
 
 
 class TestTraceExport:
