@@ -12,9 +12,11 @@ explicit part of a step is the Stefan flux (model._one_sided_slope on the
 reversed fields, the stencil the semi-wave slope extraction uses, so
 simulated and semi-wave speeds share discretization bias), the front
 update, advection and reaction; the implicit part is diffusion, evaluated
-on the advanced front (one tridiagonal solve per component, by LAPACK gtsv
-called directly on band buffers the stepper allocates once). Neumann at
-xi = 0 enters by ghost-node reflection.
+on the advanced front. The stepper carries the state as one array
+w = [u; v], so one tridiagonal solve covers both components: the two
+systems stacked, with zero coupling at the junction, by LAPACK gtsv called
+directly on band buffers the stepper allocates once. Neumann at xi = 0
+enters by ghost-node reflection.
 
 Steps are variable-step IMEX SBDF2 (Ascher, Ruuth & Wetton 1995) for u, v
 and h, written in increment form (_Stepper.sbdf2). IMEX Euler
@@ -32,10 +34,9 @@ cadence. fixed_dt replaces the controller and the CFL bound, for
 convergence studies.
 
 The solve does not check its input for NaN or infinity. The step's guards
-are the only finiteness check: the minimum over both fields catches
+are the only finiteness check: the minimum over the state catches
 densities below -1e-10 (StabilityViolation) and NaN (NonFinite), and the
-sup of u + v, which the stop rule needs anyway, catches +inf and any NaN
-the minimum missed (NonFinite).
+sup of u + v, which the stop rule needs anyway, catches +inf (NonFinite).
 
 Runs are bit-reproducible: no stochastic elements anywhere.
 """
@@ -175,7 +176,8 @@ def _flux(u: np.ndarray, v: np.ndarray, h: float, dxi: float, params: ModelParam
 
 
 class _Stepper:
-    """Preallocated step kernels; simulate() drives them."""
+    """Preallocated step kernels on the state w = [u; v], a C-contiguous
+    (2, n + 1) array; simulate() drives them."""
 
     def __init__(self, params: ModelParams, nl: Nonlinearity, n: int):
         self.params = params
@@ -183,123 +185,114 @@ class _Stepper:
         self.xi = np.linspace(0.0, 1.0, n + 1)
         self.dxi = 1.0 / n
         self.dirichlet = params.boundary is BoundaryKind.DIRICHLET
-        # sub-, main and super-diagonal; dgtsv overwrites them with its
-        # factors, so every solve refills them
-        self.dl = np.empty(n)
-        self.d = np.empty(n + 1)
-        self.du = np.empty(n)
+        self.diffusivity = np.array([[params.d1], [params.d2]])
+        self.decay = np.array([[params.a], [params.b]])
+        # sub-, main and super-diagonal of the stacked 2(n + 1) system, as
+        # (2, n + 1) views that put row i of component k in column i; dgtsv
+        # overwrites them with its factors, so every solve refills them. The
+        # solve takes the flat sub[1:] and sup[:-1], so sub[k, 0] and
+        # sup[k, -1] hold the junction entries (zero: the components
+        # decouple) and one unused slot
+        self.dl, self.d, self.du = np.empty((3, 2, n + 1))
 
-    def _implicit_solve(self, rhs: np.ndarray, r: float) -> np.ndarray:
-        """Implicit diffusion solve with the boundary rows; overwrites and returns rhs."""
+    def _diffuse(self, rhs: np.ndarray, h_new: float, dt: float) -> np.ndarray:
+        """(I - dt D(h_new))^-1 applied to both components of rhs by one gtsv
+        call, with the boundary rows; overwrites and returns rhs."""
+        r = self.diffusivity * (dt / (h_new * h_new * self.dxi * self.dxi))
         dl, d, du = self.dl, self.d, self.du
-        d.fill(1.0 + 2.0 * r)
-        du.fill(-r)
-        dl.fill(-r)
-        # front row: value pinned to zero
-        d[-1] = 1.0
-        dl[-1] = 0.0
-        rhs[-1] = 0.0
+        d[:] = 1.0 + 2.0 * r
+        du[:] = -r
+        dl[:] = -r
+        dl[:, 0] = du[:, -1] = 0.0
+        # front rows: value pinned to zero
+        d[:, -1] = 1.0
+        dl[:, -1] = 0.0
+        rhs[:, -1] = 0.0
         if self.dirichlet:
-            d[0] = 1.0
-            du[0] = 0.0
-            rhs[0] = 0.0
+            d[:, 0] = 1.0
+            du[:, 0] = 0.0
+            rhs[:, 0] = 0.0
         else:
             # ghost reflection u[-1] == u[1]: row is (1+2r) u0 - 2r u1
-            du[0] = -2.0 * r
-        _, _, _, x, info = dgtsv(dl, d, du, rhs, 1, 1, 1, 1)
+            du[:, 0] = -2.0 * r[:, 0]
+        _, _, _, x, info = dgtsv(dl.reshape(-1)[1:], d.reshape(-1), du.reshape(-1)[:-1],
+                                 rhs.reshape(-1), 1, 1, 1, 1)
         if info:
             raise NonFinite(f"tridiagonal solve failed (gtsv info={info})")
-        return x
+        return x.reshape(rhs.shape)
 
-    def rates(self, u: np.ndarray, v: np.ndarray, h: float) -> tuple:
-        """Explicit rates at (u, v, h): the front speed h' and the advection +
-        reaction right-hand sides of u and v."""
-        p = self.params
-        hp = _flux(u, v, h, self.dxi, p)
-        adv = self.xi * (hp / h)
-        grad_u = np.empty_like(u)
-        grad_v = np.empty_like(v)
-        grad_u[1:-1] = (u[2:] - u[:-2]) / (2.0 * self.dxi)
-        grad_v[1:-1] = (v[2:] - v[:-2]) / (2.0 * self.dxi)
-        grad_u[0] = grad_u[-1] = 0.0  # boundary rows are overwritten by the solve
-        grad_v[0] = grad_v[-1] = 0.0
-        return (hp, adv * grad_u - p.a * u + self.nl.H(v),
-                adv * grad_v - p.b * v + self.nl.G(u))
-
-    def _diffuse(self, rhs_u: np.ndarray, rhs_v: np.ndarray, h_new: float, dt: float):
-        """(I - dt D(h_new))^-1 applied to both right-hand sides, in place."""
-        scale = dt / (h_new * h_new * self.dxi * self.dxi)
-        return (self._implicit_solve(rhs_u, self.params.d1 * scale),
-                self._implicit_solve(rhs_v, self.params.d2 * scale))
+    def rates(self, w: np.ndarray, h: float) -> tuple:
+        """Explicit rates at (w, h): the front speed h' and the advection +
+        reaction right-hand side of [u; v]."""
+        u, v = w
+        hp = _flux(u, v, h, self.dxi, self.params)
+        grad = np.zeros_like(w)  # boundary columns are overwritten by the solve
+        grad[:, 1:-1] = (w[:, 2:] - w[:, :-2]) / (2.0 * self.dxi)
+        reaction = np.stack((self.nl.H(v), self.nl.G(u)))
+        return hp, self.xi * (hp / h) * grad - self.decay * w + reaction
 
     @staticmethod
-    def _guard(u_new: np.ndarray, v_new: np.ndarray, h_new: float) -> float:
-        """Clip the new fields to >= 0 and return max(u + v).
+    def _guard(w_new: np.ndarray, h_new: float) -> float:
+        """Clip the new state to >= 0 and return max(u + v).
 
-        Raises NonFinite on NaN or infinity in the fields or front and
+        Raises NonFinite on NaN or infinity in the state or front and
         StabilityViolation on a density below -1e-10.
         """
-        # builtin min drops a NaN in its second argument; the sup catches it
-        low = min(u_new.min(), v_new.min())
+        low = w_new.min()
         if not low >= -1e-10:
             if math.isnan(low):
                 raise NonFinite("state lost finiteness")
             raise StabilityViolation(f"min density {low:.3e} after step")
-        np.maximum(u_new, 0.0, out=u_new)
-        np.maximum(v_new, 0.0, out=v_new)
-        sup = float(np.max(u_new + v_new))
+        np.maximum(w_new, 0.0, out=w_new)
+        sup = float(np.max(w_new[0] + w_new[1]))
         if not (sup < math.inf and math.isfinite(h_new)):
             raise NonFinite("state lost finiteness")
         return sup
 
-    def advance(self, u: np.ndarray, v: np.ndarray, h: float, dt: float):
-        """One IMEX Euler step from (u, v, h); returns the new (u, v, h, h', max(u + v)).
+    def advance(self, w: np.ndarray, h: float, dt: float):
+        """One IMEX Euler step from (w, h); returns the new (w, h, h', max(u + v)).
 
         h' is the front speed at the old state, which the step used. Raises
         as _guard does.
         """
-        hp, fu, fv = self.rates(u, v, h)
+        hp, f = self.rates(w, h)
         h_new = h + dt * hp
-        u_new, v_new = self._diffuse(u + dt * fu, v + dt * fv, h_new, dt)
-        return u_new, v_new, h_new, hp, self._guard(u_new, v_new, h_new)
+        w_new = self._diffuse(w + dt * f, h_new, dt)
+        return w_new, h_new, hp, self._guard(w_new, h_new)
 
-    def sbdf2(self, u: np.ndarray, v: np.ndarray, h: float, rates: tuple,
-              hist: tuple, dt: float, omega: float):
-        """One variable-step IMEX SBDF2 step; returns the new (u, v, h, max(u + v)).
+    def sbdf2(self, w: np.ndarray, h: float, rates: tuple, hist: tuple, dt: float,
+              omega: float):
+        """One variable-step IMEX SBDF2 step; returns the new (w, h, max(u + v)).
 
-        ``rates`` are the explicit rates at (u, v, h); ``hist`` holds the
-        increments (u - u_prev, v - v_prev, h - h_prev) over the previous
-        step and the rates at its start; omega = dt / dt_prev. Written in
-        increment form, so a frozen front and zero data stay bit-exact.
-        Raises as _guard does.
+        ``rates`` are the explicit rates at (w, h); ``hist`` holds the
+        increments (w - w_prev, h - h_prev) over the previous step and the
+        rates at its start; omega = dt / dt_prev. Written in increment form,
+        so a frozen front and zero data stay bit-exact. Raises as _guard does.
         """
-        hp, fu, fv = rates
-        du, dv, dh, (hp_o, fu_o, fv_o) = hist
-        w1 = 1.0 + omega
-        g = (1.0 + 2.0 * omega) / w1
-        c1 = omega * omega / w1
-        h_new = h + (c1 * dh + dt * (w1 * hp - omega * hp_o)) / g
-        u_new, v_new = self._diffuse(u + (c1 * du + dt * (w1 * fu - omega * fu_o)) / g,
-                                     v + (c1 * dv + dt * (w1 * fv - omega * fv_o)) / g,
-                                     h_new, dt / g)
-        return u_new, v_new, h_new, self._guard(u_new, v_new, h_new)
+        hp, f = rates
+        dw, dh, (hp_o, f_o) = hist
+        c2 = 1.0 + omega
+        g = (1.0 + 2.0 * omega) / c2
+        c1 = omega * omega / c2
+        h_new = h + (c1 * dh + dt * (c2 * hp - omega * hp_o)) / g
+        w_new = self._diffuse(w + (c1 * dw + dt * (c2 * f - omega * f_o)) / g, h_new, dt / g)
+        return w_new, h_new, self._guard(w_new, h_new)
 
-    def local_error(self, new: tuple, u: np.ndarray, v: np.ndarray, h: float,
-                    hist: tuple, dt: float, omega: float) -> float:
-        """Relative local-error estimate of the step from (u, v, h) to ``new``.
+    def local_error(self, new: tuple, w: np.ndarray, h: float, hist: tuple, dt: float,
+                    omega: float) -> float:
+        """Relative local-error estimate of the step from (w, h) to ``new``.
 
         The estimate is the new level minus the linear extrapolation of the
         last two; on the fields it is filtered through (I - (dt/g) D)^-1,
         which damps the stiff diffusive modes that SBDF2 already resolves.
         It is measured relative to h and to max(sup u, sup v, VANISH_SUP).
         """
-        u_new, v_new, h_new = new[:3]
-        du, dv, dh = hist[:3]
+        w_new, h_new = new[:2]
+        dw, dh = hist[:2]
         g = (1.0 + 2.0 * omega) / (1.0 + omega)
-        eu, ev = self._diffuse(u_new - u - omega * du, v_new - v - omega * dv, h_new, dt / g)
-        size = max(u_new.max(), v_new.max(), VANISH_SUP)
+        e = self._diffuse(w_new - w - omega * dw, h_new, dt / g)
         return max(abs(h_new - h - omega * dh) / h_new,
-                   max(np.abs(eu).max(), np.abs(ev).max()) / size)
+                   np.abs(e).max() / max(w_new.max(), VANISH_SUP))
 
 
 def _time_floor(t: float) -> float:
@@ -308,10 +301,11 @@ def _time_floor(t: float) -> float:
     return 1e-12 * max(1.0, t)
 
 
-def _resample(init: InitialData, x_grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _resample(init: InitialData, x_grid: np.ndarray) -> np.ndarray:
+    """The initial [u; v] on x_grid, as a new (2, x_grid.size) array."""
     if init.x.size == x_grid.size and np.allclose(init.x, x_grid, rtol=0.0, atol=1e-12):
-        return init.u0.copy(), init.v0.copy()
-    return np.interp(x_grid, init.x, init.u0), np.interp(x_grid, init.x, init.v0)
+        return np.stack((init.u0, init.v0))
+    return np.stack((np.interp(x_grid, init.x, init.u0), np.interp(x_grid, init.x, init.v0)))
 
 
 def simulate(params: ModelParams, nl: Nonlinearity, init: InitialData,
@@ -331,22 +325,22 @@ def simulate(params: ModelParams, nl: Nonlinearity, init: InitialData,
 
     stepper = _Stepper(params, nl, num.n)
     h = float(init.h0)
-    u, v = _resample(init, stepper.xi * h)
-    u[-1] = v[-1] = 0.0
+    w = _resample(init, stepper.xi * h)
+    w[:, -1] = 0.0
     if stepper.dirichlet:
-        u[0] = v[0] = 0.0
+        w[:, 0] = 0.0
 
     def row():
-        return (t, h, rates[0], u.max(), v.max(), h * _trapz(u + v, dx=stepper.dxi))
+        return (t, h, rates[0], w[0].max(), w[1].max(), h * _trapz(w[0] + w[1], dx=stepper.dxi))
 
     def take_snapshots():
         nonlocal snap_idx
         while snap_idx < len(snap_times) and snap_times[snap_idx] <= t + _time_floor(t):
-            snapshots.append(Snapshot(t=t, h=h, x=stepper.xi * h, u=u.copy(), v=v.copy()))
+            snapshots.append(Snapshot(t=t, h=h, x=stepper.xi * h, u=w[0].copy(), v=w[1].copy()))
             snap_idx += 1
 
     t = 0.0
-    rates = stepper.rates(u, v, h)
+    rates = stepper.rates(w, h)
     rows = [row()]
     snapshots: list[Snapshot] = []
     snap_times = sorted(num.snapshot_times)
@@ -378,16 +372,16 @@ def simulate(params: ModelParams, nl: Nonlinearity, init: InitialData,
             new = None
             if hist is not None:
                 try:
-                    new = stepper.sbdf2(u, v, h, rates, hist, dt, omega)
+                    new = stepper.sbdf2(w, h, rates, hist, dt, omega)
                 except (StabilityViolation, NonFinite):
                     pass  # redone below by IMEX Euler, whose guards raise
             fell_back = new is None and hist is not None
             if new is None:
-                u_new, v_new, h_new, _, sup = stepper.advance(u, v, h, dt)
-                new = (u_new, v_new, h_new, sup)
+                w_new, h_new, _, sup = stepper.advance(w, h, dt)
+                new = (w_new, h_new, sup)
             if num.fixed_dt is not None or hist is None:
                 break
-            err = stepper.local_error(new, u, v, h, hist, dt, omega)
+            err = stepper.local_error(new, w, h, hist, dt, omega)
             factor = 0.9 * math.sqrt(_LTE_TOL / err) if err else math.inf
             if err <= _LTE_TOL:
                 dt_next = dt * factor
@@ -395,15 +389,15 @@ def simulate(params: ModelParams, nl: Nonlinearity, init: InitialData,
             stats.rejected += 1
             dt_next = dt * max(0.2, factor)
 
-        u_new, v_new, h_new, sup_total = new
-        hist = (u_new - u, v_new - v, h_new - h, rates)
-        u, v, h = u_new, v_new, h_new
+        w_new, h_new, sup_total = new
+        hist = (w_new - w, h_new - h, rates)
+        w, h = w_new, h_new
         t = target if k == 1 else t + dt
         dt_prev = dt
         stats.record(dt)
         if fell_back:
             stats.euler_fallbacks += 1
-        rates = stepper.rates(u, v, h)
+        rates = stepper.rates(w, h)
         t_tol = _time_floor(t)
 
         recorded = False

@@ -63,7 +63,7 @@ class TestStep:
     def test_zero_data_is_fixed_point(self):
         p = ModelParams(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, "dirichlet")
         stepper = _Stepper(p, saturating(), 100)
-        u, v, h, hp, sup = stepper.advance(np.zeros(101), np.zeros(101), 2.0, 1e-3)
+        (u, v), h, hp, sup = stepper.advance(np.zeros((2, 101)), 2.0, 1e-3)
         assert np.all(u == 0.0) and np.all(v == 0.0)
         assert h == 2.0 and hp == 0.0 and sup == 0.0
 
@@ -89,10 +89,10 @@ class TestStep:
     ])
     def test_guards(self, s1_nl, s1_neumann, field, value, error):
         stepper = _Stepper(s1_neumann, s1_nl, 100)
-        state = [np.cos(0.5 * np.pi * stepper.xi), np.cos(0.5 * np.pi * stepper.xi)]
+        state = np.stack([np.cos(0.5 * np.pi * stepper.xi), np.cos(0.5 * np.pi * stepper.xi)])
         state[field][50] = value  # interior node, away from the front stencil
         with np.errstate(all="ignore"), pytest.raises(error):
-            stepper.advance(state[0], state[1], 2.0, 1e-3)
+            stepper.advance(state, 2.0, 1e-3)
 
 
 def reference_advance(params, nl, n, u, v, h, dt):
@@ -149,7 +149,8 @@ class TestStepBitwise:
             ref = (u.copy(), v.copy(), h)
             for _ in range(10):
                 dt = rng.uniform(1e-4, 2e-3)
-                got = stepper.advance(u, v, h, dt)
+                (u_new, v_new), *rest = stepper.advance(np.stack((u, v)), h, dt)
+                got = (u_new, v_new, *rest)
                 want = reference_advance(params, nl, n, *ref, dt)
                 assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
                 assert got[2:] == want[2:]
