@@ -23,15 +23,16 @@ and h, written in increment form (_Stepper.sbdf2). IMEX Euler
 (_Stepper.advance) takes the first step, which has no history, and redoes
 any SBDF2 step that fails the guards below: BDF2 is not positivity
 preserving once its roots turn complex (lambda dt > 1/2). dt is the
-smallest of the CFL bound cfl * dxi * h / h', twice the previous step
-(variable-step BDF2 is zero-stable for ratios below 1 + sqrt 2) and the
-error controller's choice, which rejects and retries any step whose
-local-error estimate (_Stepper.local_error) exceeds _LTE_TOL; below
-dt = 1e-12 max(1, t) the run raises StepSizeCollapse. Every output
-interval (trace cadence, snapshot times, t_end) is split into equal steps
-that land exactly on its end, so no step is longer than the trace
-cadence. fixed_dt replaces the controller and the CFL bound, for
-convergence studies.
+smaller of twice the previous step (variable-step BDF2 is zero-stable for
+ratios below 1 + sqrt 2) and the error controller's choice, which rejects
+and retries any step whose local-error estimate (_Stepper.local_error)
+exceeds _LTE_TOL; below dt = 1e-12 max(1, t) the run raises
+StepSizeCollapse. No advective bound is needed: advection is explicit
+and diffusion implicit, and the controller alone keeps the explicit part
+accurate. Every output interval (trace cadence, snapshot times, t_end) is
+split into equal steps that land exactly on its end, so no step is longer
+than the trace cadence. fixed_dt replaces the controller, for convergence
+studies.
 
 The solve does not check its input for NaN or infinity. The step's guards
 are the only finiteness check: the minimum over the state catches
@@ -87,7 +88,6 @@ _DT_FIRST = 1e-4
 @dataclass(frozen=True)
 class SolverNumerics:
     n: int = 400                    # grid cells on [0, 1]
-    cfl: float = 0.4
     fixed_dt: float | None = None   # step for convergence studies; output times still split it
     trace_cadence: float = 0.1
     snapshot_times: tuple = ()
@@ -95,11 +95,10 @@ class SolverNumerics:
     def __post_init__(self):
         # written as not (...) so that NaN fails too; a zero step or cadence
         # would never advance the clock or the next trace sample
-        if not (self.n >= 2 and 0 < self.cfl < math.inf
-                and 0 < self.trace_cadence < math.inf
+        if not (self.n >= 2 and 0 < self.trace_cadence < math.inf
                 and (self.fixed_dt is None or 0 < self.fixed_dt < math.inf)):
             raise ValueError("solver numerics need n >= 2 and positive finite "
-                             "cfl, fixed_dt and trace cadence")
+                             "fixed_dt and trace cadence")
 
 
 @dataclass(frozen=True)
@@ -359,15 +358,13 @@ def simulate(params: ModelParams, nl: Nonlinearity, init: InitialData,
                      snap_times[snap_idx] if snap_idx < len(snap_times) else math.inf)
         while True:  # attempts at one step; the error controller may reject some
             dt = min(dt_next, 2.0 * dt_prev)  # omega <= 2 keeps variable-step SBDF2 zero-stable
-            if num.fixed_dt is None:
-                hp = rates[0]
-                if hp > 0.0:
-                    dt = min(dt, num.cfl * stepper.dxi * h / hp)
             if not dt >= _time_floor(t):
                 raise StepSizeCollapse(f"dt = {dt:.3e} at t = {t:.9g}")
-            # split what is left of the output interval into equal steps
+            # split what is left of the output interval into equal steps; the
+            # interval can exceed the cadence by the rounding of its ends,
+            # which the clamp drops from the step (t still lands on target)
             k = max(1, math.ceil((target - t) / dt - 1e-6))
-            dt = (target - t) / k
+            dt = min((target - t) / k, cadence)
             omega = dt / dt_prev
             new = None
             if hist is not None:

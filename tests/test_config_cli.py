@@ -160,7 +160,7 @@ class TestSimulateCommand:
     @pytest.mark.parametrize("key, value", [
         ("output.cadence", "0"),         # would never advance the next trace sample
         ("numerics.dt_cap", "0"),        # no longer a key: the error controller sets dt
-        ("numerics.cfl", "-1"),
+        ("numerics.cfl", "-1"),          # no longer a key either
         ("numerics.dx_semiwave", "0"),   # would divide by zero in the profile grid
         ("numerics.x_max", "-5"),
         ("numerics.c_tol", "0"),

@@ -241,7 +241,7 @@ class TestSimulate:
         trace = simulate(s1_neumann, s1_nl, InitialData.cosine_bump(2.0, 0.5, 401), num,
                          StopRule(t_end=60.0))
         stats = trace.stats
-        assert stats.steps <= 3500
+        assert stats.steps <= 900
         assert 0 <= stats.rejected <= stats.steps and stats.euler_fallbacks == 0
         assert 0.0 < stats.dt_min < stats.dt_max <= num.trace_cadence
 
