@@ -78,8 +78,10 @@ VANISH_SUP = 1e-6
 VANISH_SUSTAIN = 1.0
 
 # local-error tolerance of the step-size controller, relative to h and to
-# max(sup u, sup v, VANISH_SUP); below VANISH_SUP the run counts as vanished
+# max(sup u, sup v, _ERR_FLOOR * the initial sup): a decaying run needs no
+# accuracy relative to its own vanishing amplitude
 _LTE_TOL = 1e-4
+_ERR_FLOOR = 1e-2
 # first step of an error-controlled run, taken by IMEX Euler without an
 # error estimate; dt at most doubles per step from there
 _DT_FIRST = 1e-4
@@ -278,20 +280,20 @@ class _Stepper:
         return w_new, h_new, self._guard(w_new, h_new)
 
     def local_error(self, new: tuple, w: np.ndarray, h: float, hist: tuple, dt: float,
-                    omega: float) -> float:
+                    omega: float, floor: float) -> float:
         """Relative local-error estimate of the step from (w, h) to ``new``.
 
         The estimate is the new level minus the linear extrapolation of the
         last two; on the fields it is filtered through (I - (dt/g) D)^-1,
         which damps the stiff diffusive modes that SBDF2 already resolves.
-        It is measured relative to h and to max(sup u, sup v, VANISH_SUP).
+        It is measured relative to h and to max(sup u, sup v, floor).
         """
         w_new, h_new = new[:2]
         dw, dh = hist[:2]
         g = (1.0 + 2.0 * omega) / (1.0 + omega)
         e = self._diffuse(w_new - w - omega * dw, h_new, dt / g)
         return max(abs(h_new - h - omega * dh) / h_new,
-                   np.abs(e).max() / max(w_new.max(), VANISH_SUP))
+                   np.abs(e).max() / max(w_new.max(), floor))
 
 
 def _time_floor(t: float) -> float:
@@ -328,6 +330,7 @@ def simulate(params: ModelParams, nl: Nonlinearity, init: InitialData,
     w[:, -1] = 0.0
     if stepper.dirichlet:
         w[:, 0] = 0.0
+    err_floor = _ERR_FLOOR * w.max()  # fixed for the run: admissible data are positive inside
 
     def row():
         return (t, h, rates[0], w[0].max(), w[1].max(), h * _trapz(w[0] + w[1], dx=stepper.dxi))
@@ -378,7 +381,7 @@ def simulate(params: ModelParams, nl: Nonlinearity, init: InitialData,
                 new = (w_new, h_new, sup)
             if num.fixed_dt is not None or hist is None:
                 break
-            err = stepper.local_error(new, w, h, hist, dt, omega)
+            err = stepper.local_error(new, w, h, hist, dt, omega, err_floor)
             factor = 0.9 * math.sqrt(_LTE_TOL / err) if err else math.inf
             if err <= _LTE_TOL:
                 dt_next = dt * factor
