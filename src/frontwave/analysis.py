@@ -441,6 +441,7 @@ class OutcomeReport:
         return json_dumps({
             "classification": self.classification.value,
             "c_hat": self.c_hat,
+            "c_hat_stderr": self.c_hat_stderr,
             "h_star_hat": self.h_star_hat,
             "drift_variation": self.drift_variation,
             "profile_sup_error": [[t, e] for t, e in self.profile_sup_error],

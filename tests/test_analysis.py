@@ -234,10 +234,11 @@ class TestOutcomeReport:
         report = build_outcome_report(trace, th, c0=pair.c0, profile=prof, eq=s1_eq)
         assert report.classification is Classification.SPREADING
         payload = json.loads(report.to_json())
-        assert set(payload) == {"classification", "c_hat", "h_star_hat",
+        assert set(payload) == {"classification", "c_hat", "c_hat_stderr", "h_star_hat",
                                 "drift_variation", "profile_sup_error", "interior_fit", "run"}
         assert payload["classification"] == "Spreading"
         assert payload["c_hat"] > 0.0
+        assert payload["c_hat_stderr"] == report.c_hat_stderr > 0.0
         assert len(payload["profile_sup_error"]) == 2
 
     def test_short_spreading_trace_leaves_fits_empty(self):
