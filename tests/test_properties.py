@@ -5,19 +5,26 @@ from hypothesis import given, settings, strategies as st
 
 from frontwave.fbsolver import SolverNumerics, StopRule, simulate
 from frontwave.model import InitialData, ModelParams, saturating
+from frontwave.semiwave import find_c0
 
 _rates = st.floats(0.5, 2.0)
+# saturating sets in the spreading regime: the drawn R0 = hp gp / (a b) > 1 fixes gp
+_spreading_sets = dict(
+    d1=st.floats(0.5, 3.0), d2=st.floats(0.5, 3.0), a=_rates, b=_rates,
+    mu1=st.floats(0.2, 2.0), mu2=st.floats(0.2, 2.0), hp=st.floats(0.5, 3.0),
+    hq=_rates, gq=_rates, r0=st.floats(1.5, 8.0), dirichlet=st.booleans())
+
+
+def _model(d1, d2, a, b, mu1, mu2, hp, hq, gq, r0, dirichlet):
+    params = ModelParams(d1, d2, a, b, mu1, mu2, "dirichlet" if dirichlet else "neumann")
+    return params, saturating(hp, hq, r0 * a * b / hp, gq)
 
 
 @settings(max_examples=15, deadline=None, derandomize=True)
-@given(d1=st.floats(0.5, 3.0), d2=st.floats(0.5, 3.0), a=_rates, b=_rates,
-       mu1=st.floats(0.2, 2.0), mu2=st.floats(0.2, 2.0), hp=st.floats(0.5, 3.0),
-       hq=_rates, gq=_rates, r0=st.floats(1.5, 8.0), dirichlet=st.booleans())
-def test_invariants_on_random_spreading_sets(d1, d2, a, b, mu1, mu2, hp, hq, gq, r0, dirichlet):
-    # the drawn R0 = hp gp / (a b) > 1 fixes gp: every set is in the spreading regime
-    params = ModelParams(d1, d2, a, b, mu1, mu2, "dirichlet" if dirichlet else "neumann")
-    nl = saturating(hp, hq, r0 * a * b / hp, gq)
-    shape = InitialData.sine if dirichlet else InitialData.cosine_bump
+@given(**_spreading_sets)
+def test_invariants_on_random_spreading_sets(**drawn):
+    params, nl = _model(**drawn)
+    shape = InitialData.sine if drawn["dirichlet"] else InitialData.cosine_bump
     init = shape(3.0, 0.5, 201)
     stop = StopRule(t_end=3.0)
     trace = simulate(params, nl, init, SolverNumerics(n=50, snapshot_times=(1.0, 2.0, 3.0)), stop)
@@ -26,3 +33,11 @@ def test_invariants_on_random_spreading_sets(d1, d2, a, b, mu1, mu2, hp, hq, gq,
     assert np.all(np.diff(trace.h) >= 0.0) and np.all(trace.hprime >= 0.0)
     ref = simulate(params, nl, init, SolverNumerics(n=50, fixed_dt=1e-3, trace_cadence=1.0), stop)
     assert abs(trace.h[-1] / ref.h[-1] - 1.0) <= 2e-3
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(**_spreading_sets)
+def test_c0_below_cstar_on_random_spreading_sets(**drawn):
+    params, nl = _model(**drawn)
+    pair, _ = find_c0(nl, params)
+    assert 0.0 < pair.c0 < pair.c_star
