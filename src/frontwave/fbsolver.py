@@ -27,9 +27,9 @@ smaller of twice the previous step (variable-step BDF2 is zero-stable for
 ratios below 1 + sqrt 2) and the error controller's choice, which rejects
 and retries any step whose local-error estimate (_Stepper.local_error)
 exceeds _LTE_TOL; below dt = 1e-12 max(1, t) the run raises
-StepSizeCollapse. No advective bound is needed: advection is explicit
-and diffusion implicit, and the controller alone keeps the explicit part
-accurate. Every output interval (trace cadence, snapshot times, t_end) is
+StepSizeCollapse. No advective CFL bound is imposed: with diffusion
+implicit, the stability limit of the explicit central advection scales
+like d / h'^2 and does not shrink with the grid. Every output interval (trace cadence, snapshot times, t_end) is
 split into equal steps that land exactly on its end, so no step is longer
 than the trace cadence. fixed_dt replaces the controller, for convergence
 studies.
@@ -186,38 +186,35 @@ class _Stepper:
         self.xi = np.linspace(0.0, 1.0, n + 1)
         self.dxi = 1.0 / n
         self.dirichlet = params.boundary is BoundaryKind.DIRICHLET
-        self.diffusivity = np.array([[params.d1], [params.d2]])
         self.decay = np.array([[params.a], [params.b]])
-        # sub-, main and super-diagonal of the stacked 2(n + 1) system, as
-        # (2, n + 1) views that put row i of component k in column i; dgtsv
-        # overwrites them with its factors, so every solve refills them. The
-        # solve takes the flat sub[1:] and sup[:-1], so sub[k, 0] and
-        # sup[k, -1] hold the junction entries (zero: the components
-        # decouple) and one unused slot
-        self.dl, self.d, self.du = np.empty((3, 2, n + 1))
+        # columns held at zero: the front (n), and xi = 0 under Dirichlet
+        self.pinned = slice(0 if self.dirichlet else n, None, n)
+        # band coefficients of (I - dt D) per unit of dt / (h dxi)^2, as the
+        # sub-, main and super-diagonal of the stacked 2(n + 1) system with
+        # row i of component k in column [k, i]; pinned rows are identity
+        # rows, and the Neumann row at xi = 0 reflects the ghost node
+        # u[-1] == u[1]: (1 + 2r) u0 - 2r u1
+        diffusivity = np.array([[params.d1], [params.d2]])
+        coef = np.empty((3, 2, n + 1))
+        coef[0] = coef[2] = -diffusivity
+        coef[1] = 2.0 * diffusivity
+        coef[0, :, 0] = 0.0  # first row of a component: the junction decouples them
+        coef[2, :, 0] *= 2.0
+        coef[:, :, self.pinned] = 0.0
+        self.coef = coef.reshape(3, -1)
+        # dgtsv overwrites the bands with its factors, so every solve refills them
+        self.bands = np.empty_like(self.coef)
 
     def _diffuse(self, rhs: np.ndarray, h_new: float, dt: float) -> np.ndarray:
         """(I - dt D(h_new))^-1 applied to both components of rhs by one gtsv
         call, with the boundary rows; overwrites and returns rhs."""
-        r = self.diffusivity * (dt / (h_new * h_new * self.dxi * self.dxi))
-        dl, d, du = self.dl, self.d, self.du
-        d[:] = 1.0 + 2.0 * r
-        du[:] = -r
-        dl[:] = -r
-        dl[:, 0] = du[:, -1] = 0.0
-        # front rows: value pinned to zero
-        d[:, -1] = 1.0
-        dl[:, -1] = 0.0
-        rhs[:, -1] = 0.0
-        if self.dirichlet:
-            d[:, 0] = 1.0
-            du[:, 0] = 0.0
-            rhs[:, 0] = 0.0
-        else:
-            # ghost reflection u[-1] == u[1]: row is (1+2r) u0 - 2r u1
-            du[:, 0] = -2.0 * r[:, 0]
-        _, _, _, x, info = dgtsv(dl.reshape(-1)[1:], d.reshape(-1), du.reshape(-1)[:-1],
-                                 rhs.reshape(-1), 1, 1, 1, 1)
+        dl, d, du = self.bands
+        np.multiply(self.coef, dt / (h_new * h_new * self.dxi * self.dxi), out=self.bands)
+        d += 1.0
+        rhs[:, self.pinned] = 0.0
+        # row-aligned bands: the solve reads the sub-diagonal from row 1 on
+        # and the super-diagonal up to the last row but one
+        _, _, _, x, info = dgtsv(dl[1:], d, du[:-1], rhs.reshape(-1), 1, 1, 1, 1)
         if info:
             raise NonFinite(f"tridiagonal solve failed (gtsv info={info})")
         return x.reshape(rhs.shape)
