@@ -29,10 +29,10 @@ and retries any step whose local-error estimate (_Stepper.local_error)
 exceeds _LTE_TOL; below dt = 1e-12 max(1, t) the run raises
 StepSizeCollapse. No advective CFL bound is imposed: with diffusion
 implicit, the stability limit of the explicit central advection scales
-like d / h'^2 and does not shrink with the grid. Every output interval (trace cadence, snapshot times, t_end) is
-split into equal steps that land exactly on its end, so no step is longer
-than the trace cadence. fixed_dt replaces the controller, for convergence
-studies.
+like d / h'^2 and does not shrink with the grid. Every output interval
+(trace cadence, snapshot times, t_end) is split into equal steps that land
+exactly on its end, so no step is longer than the trace cadence. fixed_dt
+replaces the controller, for convergence studies.
 
 The solve does not check its input for NaN or infinity. The step's guards
 are the only finiteness check: the minimum over the state catches
