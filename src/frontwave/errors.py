@@ -85,7 +85,7 @@ class StepSizeCollapse(SolverError):
 
 
 class NonFinite(SolverError):
-    """NaN or Inf appeared in the state."""
+    """NaN or Inf appeared in the state or as a root-finder's function value."""
 
 
 class TailUnderflow(SolverError):

@@ -25,12 +25,13 @@ from enum import Enum
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (
     BracketingFailure,
     InvalidRegime,
     NonCompliant,
+    NonFinite,
+    NoConvergence,
     NoPositiveRoot,
 )
 
@@ -294,6 +295,76 @@ def check_hypotheses(nl: Nonlinearity, params: ModelParams, z_max: float) -> Hyp
     )
 
 
+# ---------------------------------------------------------------------------
+# closed forms and the scalar root-finder
+# ---------------------------------------------------------------------------
+
+_RTOL = 4.0 * float(np.finfo(float).eps)  # smallest relative tolerance Brent's test can meet
+
+
+def _brent(f: Callable[[float], float], a: float, b: float, xtol: float,
+           rtol: float = _RTOL, maxiter: int = 100) -> float:
+    """Root of f in the bracket [a, b] by Brent's method (Brent 1973, ch. 4).
+
+    A port of the C routine behind scipy.optimize.brentq that takes the same
+    iterates bit for bit. xcur is the best iterate, xblk the other end of
+    the bracket and xpre the previous iterate; a step is inverse quadratic
+    or secant when it is short enough, else bisection, and never below
+    delta. Stops when |xblk - xcur| < xtol + rtol*|xcur|. An exact zero at
+    either end returns that end. Raises BracketingFailure when f(a) and f(b)
+    share a sign, NonFinite when f is not finite, and NoConvergence after
+    maxiter steps.
+    """
+    def fx(x: float) -> float:
+        y = float(f(x))
+        if not math.isfinite(y):
+            raise NonFinite(f"root-finder: f({x!r}) = {y}")
+        return y
+
+    def neg(y: float) -> bool:  # the sign bit: a product fpre*fcur can underflow
+        return math.copysign(1.0, y) < 0.0
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = fx(xpre), fx(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if neg(fpre) == neg(fcur):
+        raise BracketingFailure(f"f({xpre!r}) and f({xcur!r}) have the same sign")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and neg(fpre) != neg(fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # bisect unless an interpolated step is short enough
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # secant
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # inverse quadratic
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # inf or NaN in C, which bisects
+                pass
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = fx(xcur)
+    raise NoConvergence(maxiter, f"Brent root-find, last iterate {xcur!r}")
+
+
 def compute_R0(nl: Nonlinearity, params: ModelParams) -> float:
     """Basic reproduction number H'(0) G'(0) / (a b)."""
     return float(nl.dH(0.0)) * float(nl.dG(0.0)) / (params.a * params.b)
@@ -304,7 +375,7 @@ def compute_equilibrium(nl: Nonlinearity, params: ModelParams) -> Equilibrium:
 
     Scalar root-find on g(v) = b*v - G(H(v)/a): negative near 0 when R0 > 1,
     positive for large v by the saturation clause. The bracket grows by
-    doubling from [eps, 1]; brentq then runs to a few ulp of v*. Both
+    doubling from [eps, 1]; Brent's method then runs to a few ulp of v*. Both
     residuals come out <= 1e-12 relative.
     """
     a, b = params.a, params.b
@@ -328,7 +399,7 @@ def compute_equilibrium(nl: Nonlinearity, params: ModelParams) -> Equilibrium:
         if doublings > 200:
             raise BracketingFailure("bracket expansion exhausted without sign change")
 
-    v = brentq(g, lo, hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
+    v = _brent(g, lo, hi, xtol=1e-300)
     u = float(nl.H(v)) / a
     res_u = abs(a * u - float(nl.H(v))) / max(abs(a * u), 1e-300)
     res_v = abs(b * v - float(nl.G(u))) / max(abs(b * v), 1e-300)

@@ -21,7 +21,7 @@ which has a unique strictly increasing solution for every speed c in
 
 * c0: the unique root in (0, c*) of F(c) = mu1*phi_c'(0) + mu2*psi_c'(0) - c.
   F(0) > 0 since the slopes are positive; a ladder of profile solves
-  brackets the sign change, Brent's method (brentq) finishes.
+  brackets the sign change, and Brent's method (model._brent) finishes.
 
 * beta(c): the tail rate in (u* - phi, v* - psi) ~ e^{-beta x} (p, q).
   Linearizing at (u*, v*) gives (d1 b^2 + c b - a)(d2 b^2 + c b - b) =
@@ -43,7 +43,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_banded
-from scipy.optimize import brentq
 
 from .errors import (
     NoAdmissibleRoot,
@@ -58,6 +57,7 @@ from .model import (
     Equilibrium,
     ModelParams,
     Nonlinearity,
+    _brent,
     _one_sided_slope,
     compute_equilibrium,
 )
@@ -88,7 +88,7 @@ _C_MAX_FRAC = 0.999             # the ladder's top speed, as a fraction of c*
 class SemiwaveNumerics:
     dx: float = 0.02
     x_max: float | None = None      # None: max(40, 12/beta), rounded to the grid
-    c_tol: float = 1e-9             # brentq tolerance on c0
+    c_tol: float = 1e-9             # absolute tolerance of the Brent root-find on c0
     f_tol: float = 1e-8             # bound on |F(c0)|
 
     def __post_init__(self):
@@ -213,7 +213,7 @@ def decay_rate_theoretical(nl: Nonlinearity, params: ModelParams, c: float,
     def g(beta):
         return (a - d1 * beta * beta - c * beta) * (b - d2 * beta * beta - c * beta) - prod
 
-    beta = brentq(g, 0.0, bmax, xtol=1e-15, rtol=8.9e-16)
+    beta = _brent(g, 0.0, bmax, xtol=1e-15, rtol=8.9e-16)
     p_over_q = eq.Hp_vstar / (a - d1 * beta * beta - c * beta)
     return float(beta), float(p_over_q)
 
@@ -372,9 +372,9 @@ def find_c0(nl: Nonlinearity, params: ModelParams,
     """Locate the unique c0 in (0, c*) with mu1*phi'(0) + mu2*psi'(0) = c0.
 
     Evaluates F along an equispaced speed ladder until the sign change is
-    bracketed (F(0) > 0 always: the slopes are positive), then runs brentq
-    on the bracket to c_tol. Monotonicity of F is not assumed. Each solve
-    is warm-started from the previous one.
+    bracketed (F(0) > 0 always: the slopes are positive), then runs Brent's
+    method on the bracket to c_tol. Monotonicity of F is not assumed. Each
+    solve is warm-started from the previous one.
     """
     num = numerics or SemiwaveNumerics()
     if params.mu1 + params.mu2 <= 0.0:
@@ -386,7 +386,7 @@ def find_c0(nl: Nonlinearity, params: ModelParams,
     last: list[SemiWaveProfile | None] = [None]
 
     def F(c: float) -> float:
-        if c not in values:  # brentq evaluates the bracket ends again
+        if c not in values:  # _brent evaluates the bracket ends again
             last[0] = solve_semiwave(c, nl, params, num, eq, c_star, last[0])
             values[c] = params.mu1 * last[0].slope0_phi + params.mu2 * last[0].slope0_psi - c
         return values[c]
@@ -406,7 +406,7 @@ def find_c0(nl: Nonlinearity, params: ModelParams,
     if c_hi is None:
         raise NoSignChange(f"F positive over the whole ladder up to {top:.6g}")
 
-    c0 = brentq(F, c_lo, c_hi, xtol=num.c_tol)
+    c0 = _brent(F, c_lo, c_hi, xtol=num.c_tol)
     profile = last[0]
     if profile.c != c0:
         profile = solve_semiwave(c0, nl, params, num, eq, c_star, profile)

@@ -1,10 +1,15 @@
+import functools
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from frontwave import fbsolver
+from frontwave import fbsolver, model, semiwave
 from frontwave.cli import main
 from frontwave.config import ConfigError, RunConfig, build_params, sweep_cells
 
@@ -100,6 +105,25 @@ class TestSpeedsCommand:
                         "nonlinearity.hp = 0.9\nnonlinearity.gp = 0.9\n")
         assert main(["speeds", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "R0" in capsys.readouterr().err
+
+    def test_root_finder_failure_exits_3(self, tmp_path, s1_speeds_cfg, monkeypatch):
+        # one Brent step cannot reach c_tol: NoConvergence is a solver failure
+        monkeypatch.setattr(semiwave, "_brent", functools.partial(model._brent, maxiter=1))
+        out = tmp_path / "out"
+        assert main(["speeds", "--config", s1_speeds_cfg, "--out", str(out)]) == 3
+        assert (out / "FAILED").read_text().startswith("NoConvergence:")
+
+
+def test_cli_import_leaves_scipy_optimize_out():
+    # a fresh interpreter: the test session itself imports scipy.optimize
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = ("import sys, frontwave.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 SIM_NEUMANN = S1_BASE + """\

@@ -174,7 +174,7 @@ class TestFreeBoundarySpeed:
         assert pair.c_star == pytest.approx(2.0, abs=1e-9)
 
     def test_root_find_solve_count(self, s1_nl, s1_neumann, monkeypatch):
-        # 1 + 8 ladder solves bracket c0 on this set; brentq needs only a few more
+        # 1 + 8 ladder solves bracket c0 on this set; Brent's method needs only a few more
         calls = []
         solve = semiwave.solve_semiwave
 
