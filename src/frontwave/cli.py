@@ -88,6 +88,8 @@ def cmd_speeds(cfg: RunConfig, outdir: str, args) -> list:
         "F_residual": pair.F_residual,
         "beta": beta_c0,
         "beta0": beta0,
+        "profile_solves": pair.profile_solves,
+        "newton_steps": pair.newton_steps,
     })
     _write_text(outdir, "speeds.json", text)
     sys.stdout.write(text)

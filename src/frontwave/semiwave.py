@@ -31,18 +31,20 @@ which has a unique strictly increasing solution for every speed c in
 The BVP is discretized by second-order central differences with a hard
 pin to (u*, v*) at the truncation point X_max = max(40, 12/beta), and the
 discrete system is solved by a damped Newton iteration, cold from the guess
-(u* tanh x, v* tanh x) or warm from a neighbouring speed's profile. The
-half-line steady state (the bounded positive solution at rest) is the
-c = 0 profile.
+(u* tanh x, v* tanh x) or warm from a neighbouring speed's profile. Newton
+stops at the rounding level of the discrete residual, 8 eps max(d1 u*,
+d2 v*) / dx^2, or at 1e-10 if that is lower; a profile is accepted at a
+residual of 1e-8. The half-line steady state (the bounded positive
+solution at rest) is the c = 0 profile.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgbsv
 
 from .errors import (
     NoAdmissibleRoot,
@@ -79,7 +81,14 @@ __all__ = [
 # resolution of u* - phi; strictness checks skip them
 _SATURATION_TOL = 1e-12
 _RESIDUAL_TOL = 1e-8            # sup steady residual a profile must reach
-_MAX_NEWTON = 40                # a cold solve at 0.99 c* takes up to ~32 steps
+# Newton stops at _STOP_ROUNDING * max(d1 u*, d2 v*) / dx^2, capped at
+# 1e-2 * _RESIDUAL_TOL. Run until no step decreases it, the residual ends at
+# <= 1.9 eps max(d1 u*, d2 v*) / dx^2 (2 026 solves on 144 parameter sets), so
+# 8 eps stays above that floor; a stop at 64 eps moved c0 by up to 5e-11
+_STOP_ROUNDING = 8.0 * float(np.finfo(float).eps)
+# cold solves take 4 steps at c = 0 and 22-23 at 0.99 c* on the test sets;
+# at 0.999 c* some of them need more than 40
+_MAX_NEWTON = 40
 _LADDER = 32                    # speed samples bracketing the c0 sign change
 _C_MAX_FRAC = 0.999             # the ladder's top speed, as a fraction of c*
 
@@ -112,6 +121,7 @@ class SemiWaveProfile:
     slope0_psi: float
     residual_inf: float
     x_max: float
+    newton_steps: int = 0           # a failed warm start's steps included
 
     def to_csv(self, path) -> None:
         write_csv(path, ("x", "phi", "psi"), zip(self.x_nodes, self.phi, self.psi))
@@ -123,6 +133,8 @@ class SpeedPair:
     c0: float
     lambda_star: float
     F_residual: float
+    profile_solves: int             # solve_semiwave calls made by find_c0
+    newton_steps: int               # Newton steps (banded solves) over those calls
 
 
 @dataclass(frozen=True)
@@ -234,12 +246,40 @@ def _steady_residual(phi, psi, c, nl, params, dx):
     return r_phi, r_psi
 
 
-def _newton(phi, psi, c, nl, params, dx):
-    n = phi.size
-    m = n - 2  # interior nodes
-    d1, d2, a, b = params.d1, params.d2, params.a, params.b
-    kap1, kap2 = d1 / (dx * dx), d2 / (dx * dx)
+def _bands(m, c, params, dx):
+    """The Jacobian's constant bands in dgbsv's (7, 2m) layout.
+
+    Unknowns are interleaved (phi_1, psi_1, phi_2, ...); entry (i, j) of the
+    pentadiagonal matrix sits at row 4 + i - j, column j. Rows 0-1 hold the
+    LU fill-in and need no values. The Fortran order lets dgbsv factor in
+    place.
+    """
+    kap1, kap2 = params.d1 / (dx * dx), params.d2 / (dx * dx)
     gam = c / (2.0 * dx)
+    band = np.zeros((7, 2 * m), order="F")
+    band[2, 2::2] = kap1 - gam                           # phi_{i+1}
+    band[2, 3::2] = kap2 - gam                           # psi_{i+1}
+    band[4, 0::2] = -2.0 * kap1 - params.a               # phi diagonal
+    band[4, 1::2] = -2.0 * kap2 - params.b               # psi diagonal
+    band[6, 0:-2:2] = kap1 + gam                         # phi_{i-1}
+    band[6, 1:-2:2] = kap2 + gam                         # psi_{i-1}
+    return band
+
+
+def _jacobian(ab, band, phi, psi, nl):
+    """Refill ``ab`` with the Newton matrix at (phi, psi); dgbsv overwrites it."""
+    np.copyto(ab, band)
+    ab[3, 1::2] = nl.dH(psi[1:-1])                       # phi-row coupling to psi_i
+    ab[5, 0::2] = nl.dG(phi[1:-1])                       # psi-row coupling to phi_i
+
+
+def _newton(phi, psi, c, nl, params, dx, stop):
+    """Damped Newton until the sup residual is at most ``stop``.
+
+    Returns (phi, psi, sup residual, Newton steps). A step whose line search
+    finds no decrease ends the iteration with the residual reached so far.
+    """
+    m = phi.size - 2  # interior nodes
 
     def residual(p, q):
         """Interleaved (phi, psi) residual, the Newton row order, and its sup."""
@@ -247,21 +287,16 @@ def _newton(phi, psi, c, nl, params, dx):
         r[0::2], r[1::2] = _steady_residual(p, q, c, nl, params, dx)
         return r, float(np.max(np.abs(r)))
 
+    band = _bands(m, c, params, dx)
+    ab = np.empty_like(band, order="F")
     r, res = residual(phi, psi)
-    for _ in range(_MAX_NEWTON):
-        if res <= 1e-13:
-            break
-        ab = np.zeros((5, 2 * m))
-        ab[2, 0::2] = -2.0 * kap1 - a                    # phi diagonal
-        ab[2, 1::2] = -2.0 * kap2 - b                    # psi diagonal
-        ab[1, 1::2] = nl.dH(psi[1:-1])                   # phi-row coupling to psi_i
-        ab[3, 0:-1:2] = nl.dG(phi[1:-1])                 # psi-row coupling to phi_i
-        ab[0, 2::2] = kap1 - gam                         # phi_{i+1}
-        ab[0, 3::2] = kap2 - gam                         # psi_{i+1}
-        ab[4, 0:-2:2] = kap1 + gam                       # phi_{i-1}
-        ab[4, 1:-2:2] = kap2 + gam                       # psi_{i-1}
-
-        delta = solve_banded((2, 2), ab, -r)
+    steps = 0
+    while res > stop and steps < _MAX_NEWTON:
+        _jacobian(ab, band, phi, psi, nl)
+        _, _, delta, info = dgbsv(2, 2, ab, -r, overwrite_ab=1, overwrite_b=1)
+        steps += 1
+        if info != 0:
+            raise SolverError(f"Newton matrix solve failed (gbsv info={info})")
         step = 1.0
         for _ in range(8):
             p_try = phi.copy()
@@ -274,8 +309,8 @@ def _newton(phi, psi, c, nl, params, dx):
                 break
             step *= 0.5
         else:
-            break  # no improving step: stagnated at float precision
-    return phi, psi, res
+            break  # no improving step: stagnated above the stopping level
+    return phi, psi, res, steps
 
 
 def _validate_profile(phi, psi, u_star, v_star):
@@ -301,7 +336,8 @@ def solve_semiwave(c: float, nl: Nonlinearity, params: ModelParams,
                    initial_guess: SemiWaveProfile | None = None) -> SemiWaveProfile:
     """Solve the half-line profile at speed c in [0, c*).
 
-    Damped Newton drives the discrete residual to machine level, starting
+    Damped Newton drives the discrete residual to its rounding level
+    (capped at 1e-2 * _RESIDUAL_TOL; see the module docstring), starting
     from ``initial_guess`` when it lies on the same grid (the speed-ladder
     continuation in find_c0) and from (u* tanh x, v* tanh x) otherwise; a
     warm start that fails falls back to the cold guess once. At c = 0 this
@@ -337,10 +373,13 @@ def solve_semiwave(c: float, nl: Nonlinearity, params: ModelParams,
         phi[0] = psi[0] = 0.0
         phi[-1], psi[-1] = eq.u_star, eq.v_star
 
-    phi, psi, res = _newton(phi, psi, c, nl, params, dx)
+    stop = min(_STOP_ROUNDING * max(params.d1 * eq.u_star, params.d2 * eq.v_star) / (dx * dx),
+               1e-2 * _RESIDUAL_TOL)
+    phi, psi, res, steps = _newton(phi, psi, c, nl, params, dx, stop)
     if res > _RESIDUAL_TOL:
         if warm:  # bad warm start: fall back to the cold path once
-            return solve_semiwave(c, nl, params, num, eq, cs, None)
+            cold = solve_semiwave(c, nl, params, num, eq, cs, None)
+            return replace(cold, newton_steps=cold.newton_steps + steps)
         raise NoConvergence(_MAX_NEWTON, f"steady residual {res:.2e}")
 
     # roundoff guard: Newton may leave values a few ulp outside [0, w*]
@@ -358,6 +397,7 @@ def solve_semiwave(c: float, nl: Nonlinearity, params: ModelParams,
         slope0_psi=_one_sided_slope(psi, dx),
         residual_inf=float(res),
         x_max=x_max,
+        newton_steps=steps,
     )
 
 
@@ -374,7 +414,8 @@ def find_c0(nl: Nonlinearity, params: ModelParams,
     Evaluates F along an equispaced speed ladder until the sign change is
     bracketed (F(0) > 0 always: the slopes are positive), then runs Brent's
     method on the bracket to c_tol. Monotonicity of F is not assumed. Each
-    solve is warm-started from the previous one.
+    solve is warm-started from the previous one. The SpeedPair counts the
+    profile solves and their Newton steps.
     """
     num = numerics or SemiwaveNumerics()
     if params.mu1 + params.mu2 <= 0.0:
@@ -384,11 +425,18 @@ def find_c0(nl: Nonlinearity, params: ModelParams,
 
     values: dict[float, float] = {}
     last: list[SemiWaveProfile | None] = [None]
+    work = [0, 0]  # profile solves, Newton steps
+
+    def solve(c: float) -> SemiWaveProfile:
+        last[0] = solve_semiwave(c, nl, params, num, eq, c_star, last[0])
+        work[0] += 1
+        work[1] += last[0].newton_steps
+        return last[0]
 
     def F(c: float) -> float:
         if c not in values:  # _brent evaluates the bracket ends again
-            last[0] = solve_semiwave(c, nl, params, num, eq, c_star, last[0])
-            values[c] = params.mu1 * last[0].slope0_phi + params.mu2 * last[0].slope0_psi - c
+            prof = solve(c)
+            values[c] = params.mu1 * prof.slope0_phi + params.mu2 * prof.slope0_psi - c
         return values[c]
 
     f0 = F(0.0)
@@ -409,14 +457,15 @@ def find_c0(nl: Nonlinearity, params: ModelParams,
     c0 = _brent(F, c_lo, c_hi, xtol=num.c_tol)
     profile = last[0]
     if profile.c != c0:
-        profile = solve_semiwave(c0, nl, params, num, eq, c_star, profile)
+        profile = solve(c0)
     f_res = abs(params.mu1 * profile.slope0_phi + params.mu2 * profile.slope0_psi - c0)
     if f_res > num.f_tol:
         raise SolverError(f"|F(c0)|={f_res:.3e} exceeds tolerance {num.f_tol}")
     if not (0.0 < c0 < c_star):
         raise SolverError(f"c0={c0} outside (0, c*)")
     return SpeedPair(c_star=c_star, c0=float(c0), lambda_star=lam_star,
-                     F_residual=float(f_res)), profile
+                     F_residual=float(f_res), profile_solves=work[0],
+                     newton_steps=work[1]), profile
 
 
 # ---------------------------------------------------------------------------

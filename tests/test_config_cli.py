@@ -93,6 +93,7 @@ class TestSpeedsCommand:
         assert payload["c_star"] == pytest.approx(2.0, abs=1e-6)
         assert 0.0 < payload["c0"] < payload["c_star"]
         assert payload["beta0"] == pytest.approx(math.sqrt(0.5), abs=1e-9)
+        assert payload["profile_solves"] > 0 and payload["newton_steps"] > 0
 
     def test_reruns_are_byte_identical(self, tmp_path, s1_speeds_cfg):
         out1, out2 = tmp_path / "a", tmp_path / "b"

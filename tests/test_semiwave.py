@@ -10,11 +10,12 @@ from frontwave.errors import (
     NoPositiveRoot,
     NoSignChange,
     NoTangency,
+    SolverError,
     SpeedOutOfRange,
     TailUnderflow,
 )
 from frontwave import semiwave
-from frontwave.model import Equilibrium, ModelParams, compute_equilibrium, saturating
+from frontwave.model import Equilibrium, ModelParams, cholera, compute_equilibrium, saturating
 from frontwave.semiwave import (
     SemiWaveProfile,
     SemiwaveNumerics,
@@ -215,6 +216,119 @@ class TestFreeBoundarySpeed:
                for dx in (0.04, 0.02, 0.01)]
         order = math.log2(abs(c0s[0] - c0s[1]) / abs(c0s[1] - c0s[2]))
         assert 1.5 <= order <= 2.5
+
+
+class TestNewton:
+    """The hand-filled dgbsv band buffer and the work of the damped Newton."""
+
+    @staticmethod
+    def _interleaved(phi, psi, c, nl, p, dx):
+        r_phi, r_psi = semiwave._steady_residual(phi, psi, c, nl, p, dx)
+        r = np.empty(2 * r_phi.size)
+        r[0::2], r[1::2] = r_phi, r_psi
+        return r
+
+    @pytest.fixture
+    def small_system(self):
+        """Asymmetric cholera set on 21 nodes, off any solution."""
+        p = ModelParams(1.0, 2.0, 1.0, 1.5, 0.7, 1.3, "neumann")
+        nl = cholera(c=1.5, gp=2.0, gq=0.5)
+        eq = compute_equilibrium(nl, p)
+        c, dx = 0.3, 0.25
+        x = np.linspace(0.0, 20 * dx, 21)
+        phi = eq.u_star * np.tanh(0.8 * x)
+        psi = eq.v_star * np.tanh(1.3 * x) ** 2
+        m = x.size - 2
+        band = semiwave._bands(m, c, p, dx)
+        ab = np.empty_like(band, order="F")
+        semiwave._jacobian(ab, band, phi, psi, nl)
+        dense = np.zeros((2 * m, 2 * m))
+        for i in range(2 * m):
+            for j in range(max(0, i - 2), min(2 * m, i + 3)):
+                dense[i, j] = ab[4 + i - j, j]
+        return p, nl, c, dx, phi, psi, ab, dense
+
+    def test_band_layout_matches_finite_difference_jacobian(self, small_system):
+        p, nl, c, dx, phi, psi, _, dense = small_system
+        m = phi.size - 2
+        fd = np.empty_like(dense)
+        h = 1e-6
+        for k in range(2 * m):
+            w = phi if k % 2 == 0 else psi
+            node = 1 + k // 2
+            saved = w[node]
+            w[node] = saved + h
+            r_plus = self._interleaved(phi, psi, c, nl, p, dx)
+            w[node] = saved - h
+            r_minus = self._interleaved(phi, psi, c, nl, p, dx)
+            w[node] = saved
+            fd[:, k] = (r_plus - r_minus) / (2.0 * h)
+        assert np.max(np.abs(dense - fd)) <= 1e-6 * np.max(np.abs(fd))
+
+    def test_gbsv_step_matches_dense_solve(self, small_system):
+        p, nl, c, dx, phi, psi, ab, dense = small_system
+        r = self._interleaved(phi, psi, c, nl, p, dx)
+        _, _, delta, info = semiwave.dgbsv(2, 2, ab, -r, overwrite_ab=1, overwrite_b=1)
+        assert info == 0
+        want = np.linalg.solve(dense, -r)
+        assert np.max(np.abs(delta - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_failed_band_solve_fails_the_profile(self, s1_nl, s1_neumann, s1_eq, monkeypatch):
+        gbsv = semiwave.dgbsv
+
+        def singular(*args, **kwargs):
+            lu, piv, x, _ = gbsv(*args, **kwargs)
+            return lu, piv, x, 3  # U(3, 3) exactly zero
+
+        monkeypatch.setattr(semiwave, "dgbsv", singular)
+        with pytest.raises(SolverError, match="info=3"):
+            solve_semiwave(0.5, s1_nl, s1_neumann, eq=s1_eq, cstar=2.0)
+
+    def test_find_c0_banded_solves_per_profile(self, s1_nl, s1_neumann, monkeypatch):
+        calls = []
+        gbsv = semiwave.dgbsv
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return gbsv(*args, **kwargs)
+
+        monkeypatch.setattr(semiwave, "dgbsv", counting)
+        pair, _ = find_c0(s1_nl, s1_neumann)
+        assert pair.newton_steps == len(calls)
+        assert len(calls) <= 3.5 * pair.profile_solves
+
+    def test_find_c0_newton_never_stagnates(self, s1_nl, s1_neumann, monkeypatch):
+        # each solve reaches its stopping level (the last argument) instead
+        # of leaving through a line search that finds no decrease
+        exits = []
+        newton = semiwave._newton
+
+        def recording(*args):
+            out = newton(*args)
+            exits.append((out[2], args[-1]))
+            return out
+
+        monkeypatch.setattr(semiwave, "_newton", recording)
+        pair, _ = find_c0(s1_nl, s1_neumann)
+        assert len(exits) == pair.profile_solves
+        assert all(res <= stop for res, stop in exits)
+
+    def test_large_diffusion_stops_at_the_cap(self, monkeypatch):
+        # 8 eps d u*/dx^2 ~ 9e-10 here: the 1e-2 * _RESIDUAL_TOL cap sets the level
+        p = ModelParams(200.0, 200.0, 1.0, 1.0, 1.0, 1.0, "neumann")
+        nl = saturating(hp=2.0, gp=2.0)
+        stops = []
+        newton = semiwave._newton
+
+        def recording(*args):
+            stops.append(args[-1])
+            return newton(*args)
+
+        monkeypatch.setattr(semiwave, "_newton", recording)
+        pair, prof = find_c0(nl, p)
+        assert stops and all(s == 1e-2 * semiwave._RESIDUAL_TOL for s in stops)
+        assert prof.residual_inf <= 1e-8
+        assert pair.c0 == pytest.approx(0.06703223240070708, abs=1e-9)
 
 
 class TestDecayRates:
