@@ -33,9 +33,8 @@ pin to (u*, v*) at the truncation point X_max = max(40, 12/beta), and the
 discrete system is solved by a damped Newton iteration, cold from the guess
 (u* tanh x, v* tanh x) or warm from a neighbouring speed's profile. Newton
 stops at the rounding level of the discrete residual, 8 eps max(d1 u*,
-d2 v*) / dx^2, or at 1e-10 if that is lower; a profile is accepted at a
-residual of 1e-8. The half-line steady state (the bounded positive
-solution at rest) is the c = 0 profile.
+d2 v*) / dx^2; a profile is accepted at a residual of 1e-8. The half-line
+steady state (the bounded positive solution at rest) is the c = 0 profile.
 """
 
 from __future__ import annotations
@@ -81,10 +80,12 @@ __all__ = [
 # resolution of u* - phi; strictness checks skip them
 _SATURATION_TOL = 1e-12
 _RESIDUAL_TOL = 1e-8            # sup steady residual a profile must reach
-# Newton stops at _STOP_ROUNDING * max(d1 u*, d2 v*) / dx^2, capped at
-# 1e-2 * _RESIDUAL_TOL. Run until no step decreases it, the residual ends at
-# <= 1.9 eps max(d1 u*, d2 v*) / dx^2 (2 026 solves on 144 parameter sets), so
-# 8 eps stays above that floor; a stop at 64 eps moved c0 by up to 5e-11
+# Newton stops at _STOP_ROUNDING * max(d1 u*, d2 v*) / dx^2. Run until no
+# step decreases it, the residual ends at <= 1.9 eps max(d1 u*, d2 v*) / dx^2
+# (2 026 solves on 144 parameter sets), so 8 eps stays above that floor; a
+# stop at 64 eps moved c0 by up to 5e-11. With d1 = d2 from 200 to 12 000 the
+# last step still lands on the floor, below _RESIDUAL_TOL, and c0 moves by at
+# most 2.1e-12 against a stop at 1e-10
 _STOP_ROUNDING = 8.0 * float(np.finfo(float).eps)
 # cold solves take 4 steps at c = 0 and 22-23 at 0.99 c* on the test sets;
 # at 0.999 c* some of them need more than 40
@@ -336,13 +337,13 @@ def solve_semiwave(c: float, nl: Nonlinearity, params: ModelParams,
                    initial_guess: SemiWaveProfile | None = None) -> SemiWaveProfile:
     """Solve the half-line profile at speed c in [0, c*).
 
-    Damped Newton drives the discrete residual to its rounding level
-    (capped at 1e-2 * _RESIDUAL_TOL; see the module docstring), starting
-    from ``initial_guess`` when it lies on the same grid (the speed-ladder
-    continuation in find_c0) and from (u* tanh x, v* tanh x) otherwise; a
-    warm start that fails falls back to the cold guess once. At c = 0 this
-    is the half-line steady state; below threshold (R0 <= 1) the
-    equilibrium, and with it the profile, does not exist (NoPositiveRoot).
+    Damped Newton drives the discrete residual to its rounding level (see
+    the module docstring), starting from ``initial_guess`` when it lies on
+    the same grid (the speed-ladder continuation in find_c0) and from
+    (u* tanh x, v* tanh x) otherwise; a warm start that fails falls back
+    to the cold guess once. At c = 0 this is the half-line steady state;
+    below threshold (R0 <= 1) the equilibrium, and with it the profile,
+    does not exist (NoPositiveRoot).
     """
     num = numerics or SemiwaveNumerics()
     eq = eq or compute_equilibrium(nl, params)
@@ -373,8 +374,7 @@ def solve_semiwave(c: float, nl: Nonlinearity, params: ModelParams,
         phi[0] = psi[0] = 0.0
         phi[-1], psi[-1] = eq.u_star, eq.v_star
 
-    stop = min(_STOP_ROUNDING * max(params.d1 * eq.u_star, params.d2 * eq.v_star) / (dx * dx),
-               1e-2 * _RESIDUAL_TOL)
+    stop = _STOP_ROUNDING * max(params.d1 * eq.u_star, params.d2 * eq.v_star) / (dx * dx)
     phi, psi, res, steps = _newton(phi, psi, c, nl, params, dx, stop)
     if res > _RESIDUAL_TOL:
         if warm:  # bad warm start: fall back to the cold path once

@@ -284,22 +284,9 @@ class TestNewton:
         with pytest.raises(SolverError, match="info=3"):
             solve_semiwave(0.5, s1_nl, s1_neumann, eq=s1_eq, cstar=2.0)
 
-    def test_find_c0_banded_solves_per_profile(self, s1_nl, s1_neumann, monkeypatch):
-        calls = []
-        gbsv = semiwave.dgbsv
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return gbsv(*args, **kwargs)
-
-        monkeypatch.setattr(semiwave, "dgbsv", counting)
-        pair, _ = find_c0(s1_nl, s1_neumann)
-        assert pair.newton_steps == len(calls)
-        assert len(calls) <= 3.5 * pair.profile_solves
-
-    def test_find_c0_newton_never_stagnates(self, s1_nl, s1_neumann, monkeypatch):
-        # each solve reaches its stopping level (the last argument) instead
-        # of leaving through a line search that finds no decrease
+    @staticmethod
+    def _record_exits(monkeypatch):
+        """Record each _newton call's (final residual, stopping level)."""
         exits = []
         newton = semiwave._newton
 
@@ -309,24 +296,34 @@ class TestNewton:
             return out
 
         monkeypatch.setattr(semiwave, "_newton", recording)
+        return exits
+
+    def test_find_c0_newton_work(self, s1_nl, s1_neumann, monkeypatch):
+        calls = []
+        gbsv = semiwave.dgbsv
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return gbsv(*args, **kwargs)
+
+        monkeypatch.setattr(semiwave, "dgbsv", counting)
+        exits = self._record_exits(monkeypatch)
         pair, _ = find_c0(s1_nl, s1_neumann)
+        assert pair.newton_steps == len(calls)
+        assert len(calls) <= 3.5 * pair.profile_solves
+        # each solve reaches its stopping level instead of leaving through
+        # a line search that finds no decrease
         assert len(exits) == pair.profile_solves
         assert all(res <= stop for res, stop in exits)
 
-    def test_large_diffusion_stops_at_the_cap(self, monkeypatch):
-        # 8 eps d u*/dx^2 ~ 9e-10 here: the 1e-2 * _RESIDUAL_TOL cap sets the level
+    def test_large_diffusion_reaches_its_rounding_level(self, monkeypatch):
+        # d = 200 puts the stopping level at ~9e-10, 200 times the
+        # symmetric set's; c0 is the value found with Newton run to 1e-13
         p = ModelParams(200.0, 200.0, 1.0, 1.0, 1.0, 1.0, "neumann")
         nl = saturating(hp=2.0, gp=2.0)
-        stops = []
-        newton = semiwave._newton
-
-        def recording(*args):
-            stops.append(args[-1])
-            return newton(*args)
-
-        monkeypatch.setattr(semiwave, "_newton", recording)
+        exits = self._record_exits(monkeypatch)
         pair, prof = find_c0(nl, p)
-        assert stops and all(s == 1e-2 * semiwave._RESIDUAL_TOL for s in stops)
+        assert exits and all(res <= stop for res, stop in exits)
         assert prof.residual_inf <= 1e-8
         assert pair.c0 == pytest.approx(0.06703223240070708, abs=1e-9)
 
