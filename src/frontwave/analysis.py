@@ -436,6 +436,7 @@ class OutcomeReport:
     profile_sup_error: tuple
     interior_fit: dict | None
     run: dict  # the solver's RunStats: step counts and the accepted dt range
+    c0_search: dict | None  # find_c0's work (profile_solves, newton_steps); None without c0
 
     def to_json(self) -> str:
         return json_dumps({
@@ -447,19 +448,21 @@ class OutcomeReport:
             "profile_sup_error": [[t, e] for t, e in self.profile_sup_error],
             "interior_fit": self.interior_fit,
             "run": self.run,
+            "c0_search": self.c0_search,
         })
 
 
 def build_outcome_report(trace: RunTrace, thresholds: AnalysisThresholds,
                          c0: float | None = None,
                          profile: SemiWaveProfile | None = None,
-                         eq: Equilibrium | None = None) -> OutcomeReport:
+                         eq: Equilibrium | None = None,
+                         c0_search: dict | None = None) -> OutcomeReport:
     """Assemble the outcome report; estimate fields stay None off-regime.
 
     Speed and drift stay None when the trace is too short to fit them.
     Front windows follow the boundary operator: the whole domain [0, h] for
     Neumann, [c0 t / 2, h] for Dirichlet. The interior fit takes the rays
-    [c0 t / 4, c0 t / 2].
+    [c0 t / 4, c0 t / 2]. ``c0_search`` is passed through to the report.
     """
     label = classify(trace, thresholds)
     c_hat = stderr = h_star = drift_var = None
@@ -498,4 +501,5 @@ def build_outcome_report(trace: RunTrace, thresholds: AnalysisThresholds,
         profile_sup_error=tuple(errors),
         interior_fit=interior,
         run=asdict(trace.stats),
+        c0_search=c0_search,
     )

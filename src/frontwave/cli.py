@@ -121,7 +121,8 @@ def _outcome(cfg: RunConfig, with_c0: bool) -> tuple:
     """Simulate one config and classify it: (params, trace, report).
 
     ``with_c0`` adds the free-boundary speed c0 and its profile, from which
-    the report gains the drift, profile-error and interior-fit estimates.
+    the report gains the drift, profile-error and interior-fit estimates,
+    and the work of the c0 search (``c0_search``).
     """
     nl = build_nonlinearity(cfg)
     params = build_params(cfg)
@@ -134,11 +135,13 @@ def _outcome(cfg: RunConfig, with_c0: bool) -> tuple:
         eq = model.compute_equilibrium(nl, params)
     thresholds = analysis.AnalysisThresholds.from_model(nl, params, eq, init.h0)
     trace = fbsolver.simulate(params, nl, init, numerics, stop)
-    c0 = profile = None
+    c0 = profile = search = None
     if with_c0 and eq is not None and params.mu1 + params.mu2 > 0.0:
         pair, profile = semiwave.find_c0(nl, params, sw_numerics, eq)
         c0 = pair.c0
-    report = analysis.build_outcome_report(trace, thresholds, c0=c0, profile=profile, eq=eq)
+        search = {"profile_solves": pair.profile_solves, "newton_steps": pair.newton_steps}
+    report = analysis.build_outcome_report(trace, thresholds, c0=c0, profile=profile, eq=eq,
+                                           c0_search=search)
     return params, trace, report
 
 

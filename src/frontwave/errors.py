@@ -69,7 +69,7 @@ class NoConvergence(SolverError):
 
 
 class NoSignChange(SolverError):
-    """The c0 residual never changed sign on the sampled speed ladder."""
+    """The c0 residual F(0) is not positive: the c0 search has no sign change to follow."""
 
 
 class NegativeSpeed(SolverError):

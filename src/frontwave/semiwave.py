@@ -20,8 +20,10 @@ which has a unique strictly increasing solution for every speed c in
   tangency Newton iteration on (P, dP/dlam) = 0.
 
 * c0: the unique root in (0, c*) of F(c) = mu1*phi_c'(0) + mu2*psi_c'(0) - c.
-  F(0) > 0 since the slopes are positive; a ladder of profile solves
-  brackets the sign change, and Brent's method (model._brent) finishes.
+  F(0) > 0 since the slopes are positive. Each profile solve also returns
+  the speed sensitivity s = d(phi, psi)/dc from the Jacobian it already
+  factors, which gives F'(c) and a tangent predictor for the next solve;
+  Newton's method on F, kept inside a sign bracket by bisection, finds c0.
 
 * beta(c): the tail rate in (u* - phi, v* - psi) ~ e^{-beta x} (p, q).
   Linearizing at (u*, v*) gives (d1 b^2 + c b - a)(d2 b^2 + c b - b) =
@@ -31,8 +33,8 @@ which has a unique strictly increasing solution for every speed c in
 The BVP is discretized by second-order central differences with a hard
 pin to (u*, v*) at the truncation point X_max = max(40, 12/beta), and the
 discrete system is solved by a damped Newton iteration, cold from the guess
-(u* tanh x, v* tanh x) or warm from a neighbouring speed's profile. Newton
-stops at the rounding level of the discrete residual, 8 eps max(d1 u*,
+(u* tanh x, v* tanh x) or warm from a neighbouring speed's predicted profile.
+Newton stops at the rounding level of the discrete residual, 8 eps max(d1 u*,
 d2 v*) / dx^2; a profile is accepted at a residual of 1e-8. The half-line
 steady state (the bounded positive solution at rest) is the c = 0 profile.
 """
@@ -90,15 +92,17 @@ _STOP_ROUNDING = 8.0 * float(np.finfo(float).eps)
 # cold solves take 4 steps at c = 0 and 22-23 at 0.99 c* on the test sets;
 # at 0.999 c* some of them need more than 40
 _MAX_NEWTON = 40
-_LADDER = 32                    # speed samples bracketing the c0 sign change
-_C_MAX_FRAC = 0.999             # the ladder's top speed, as a fraction of c*
+_C_MAX_FRAC = 0.999             # top of the c0 bracket until F(c) <= 0 is seen, over c*
+# profile solves per c0 search: bisection alone needs ~30 to shrink the
+# bracket from c* to c_tol; Newton takes 3-11 on the test sets
+_MAX_C0_SOLVES = 50
 
 
 @dataclass(frozen=True)
 class SemiwaveNumerics:
     dx: float = 0.02
     x_max: float | None = None      # None: max(40, 12/beta), rounded to the grid
-    c_tol: float = 1e-9             # absolute tolerance of the Brent root-find on c0
+    c_tol: float = 1e-9             # bound on the last Newton step of the c0 search
     f_tol: float = 1e-8             # bound on |F(c0)|
 
     def __post_init__(self):
@@ -122,7 +126,9 @@ class SemiWaveProfile:
     slope0_psi: float
     residual_inf: float
     x_max: float
-    newton_steps: int = 0           # a failed warm start's steps included
+    newton_steps: int = 0           # band solves, a failed warm start's included
+    dphi_dc: np.ndarray | None = None   # speed sensitivity on the same grid
+    dpsi_dc: np.ndarray | None = None
 
     def to_csv(self, path) -> None:
         write_csv(path, ("x", "phi", "psi"), zip(self.x_nodes, self.phi, self.psi))
@@ -135,7 +141,7 @@ class SpeedPair:
     lambda_star: float
     F_residual: float
     profile_solves: int             # solve_semiwave calls made by find_c0
-    newton_steps: int               # Newton steps (banded solves) over those calls
+    newton_steps: int               # band solves (dgbsv calls) over those calls
 
 
 @dataclass(frozen=True)
@@ -277,8 +283,13 @@ def _jacobian(ab, band, phi, psi, nl):
 def _newton(phi, psi, c, nl, params, dx, stop):
     """Damped Newton until the sup residual is at most ``stop``.
 
-    Returns (phi, psi, sup residual, Newton steps). A step whose line search
-    finds no decrease ends the iteration with the residual reached so far.
+    Each band solve carries a second right-hand side, -dr/dc: the central
+    difference gradient of (phi, psi). The last solve so gives the speed
+    sensitivity s = d(phi, psi)/dc at interior nodes (interleaved), with
+    the Jacobian of the last step; a start already at ``stop`` makes one
+    solve for s alone. Returns (phi, psi, sup residual, s, band solves). A
+    step whose line search finds no decrease ends the iteration with the
+    residual reached so far.
     """
     m = phi.size - 2  # interior nodes
 
@@ -290,14 +301,21 @@ def _newton(phi, psi, c, nl, params, dx, stop):
 
     band = _bands(m, c, params, dx)
     ab = np.empty_like(band, order="F")
+    rhs = np.empty((2 * m, 2), order="F")
     r, res = residual(phi, psi)
     steps = 0
-    while res > stop and steps < _MAX_NEWTON:
+    while True:
         _jacobian(ab, band, phi, psi, nl)
-        _, _, delta, info = dgbsv(2, 2, ab, -r, overwrite_ab=1, overwrite_b=1)
+        rhs[:, 0] = -r
+        rhs[0::2, 1] = (phi[2:] - phi[:-2]) / (2.0 * dx)
+        rhs[1::2, 1] = (psi[2:] - psi[:-2]) / (2.0 * dx)
+        _, _, sol, info = dgbsv(2, 2, ab, rhs, overwrite_ab=1, overwrite_b=1)
         steps += 1
         if info != 0:
             raise SolverError(f"Newton matrix solve failed (gbsv info={info})")
+        delta, sens = sol[:, 0], sol[:, 1]
+        if res <= stop:
+            break
         step = 1.0
         for _ in range(8):
             p_try = phi.copy()
@@ -311,7 +329,9 @@ def _newton(phi, psi, c, nl, params, dx, stop):
             step *= 0.5
         else:
             break  # no improving step: stagnated above the stopping level
-    return phi, psi, res, steps
+        if res <= stop or steps >= _MAX_NEWTON:
+            break
+    return phi, psi, res, sens, steps
 
 
 def _validate_profile(phi, psi, u_star, v_star):
@@ -339,9 +359,10 @@ def solve_semiwave(c: float, nl: Nonlinearity, params: ModelParams,
 
     Damped Newton drives the discrete residual to its rounding level (see
     the module docstring), starting from ``initial_guess`` when it lies on
-    the same grid (the speed-ladder continuation in find_c0) and from
-    (u* tanh x, v* tanh x) otherwise; a warm start that fails falls back
-    to the cold guess once. At c = 0 this is the half-line steady state;
+    the same grid (find_c0's tangent predictor) and from (u* tanh x,
+    v* tanh x) otherwise; a warm start that fails falls back to the cold
+    guess once. The profile carries its speed sensitivity d(phi, psi)/dc,
+    zero at both pinned ends. At c = 0 this is the half-line steady state;
     below threshold (R0 <= 1) the equilibrium, and with it the profile,
     does not exist (NoPositiveRoot).
     """
@@ -375,7 +396,7 @@ def solve_semiwave(c: float, nl: Nonlinearity, params: ModelParams,
         phi[-1], psi[-1] = eq.u_star, eq.v_star
 
     stop = _STOP_ROUNDING * max(params.d1 * eq.u_star, params.d2 * eq.v_star) / (dx * dx)
-    phi, psi, res, steps = _newton(phi, psi, c, nl, params, dx, stop)
+    phi, psi, res, sens, steps = _newton(phi, psi, c, nl, params, dx, stop)
     if res > _RESIDUAL_TOL:
         if warm:  # bad warm start: fall back to the cold path once
             cold = solve_semiwave(c, nl, params, num, eq, cs, None)
@@ -398,6 +419,8 @@ def solve_semiwave(c: float, nl: Nonlinearity, params: ModelParams,
         residual_inf=float(res),
         x_max=x_max,
         newton_steps=steps,
+        dphi_dc=np.concatenate(([0.0], sens[0::2], [0.0])),
+        dpsi_dc=np.concatenate(([0.0], sens[1::2], [0.0])),
     )
 
 
@@ -411,61 +434,61 @@ def find_c0(nl: Nonlinearity, params: ModelParams,
             ) -> tuple[SpeedPair, SemiWaveProfile]:
     """Locate the unique c0 in (0, c*) with mu1*phi'(0) + mu2*psi'(0) = c0.
 
-    Evaluates F along an equispaced speed ladder until the sign change is
-    bracketed (F(0) > 0 always: the slopes are positive), then runs Brent's
-    method on the bracket to c_tol. Monotonicity of F is not assumed. Each
-    solve is warm-started from the previous one. The SpeedPair counts the
-    profile solves and their Newton steps.
+    Newton's method on F(c) = mu1*phi'(0) + mu2*psi'(0) - c, from c = 0
+    (F(0) > 0 always: the slopes are positive). F'(c) comes from the
+    profile's speed sensitivity s through the same slope stencil, and each
+    solve starts from the tangent predictor profile + dc*s. A bracket
+    [lo, hi] follows the signs of F, with hi = 0.999 c* until F <= 0 is
+    seen; an iterate outside it, or F' >= 0, is replaced by the bracket's
+    midpoint, so monotonicity of F is not assumed. The search stops when
+    the next step is at most c_tol and |F| at most f_tol, and returns the
+    last solved profile; after 50 solves, or a step that no longer moves c,
+    it ends and |F| > f_tol raises SolverError. The SpeedPair counts the
+    profile solves and their band solves.
     """
     num = numerics or SemiwaveNumerics()
-    if params.mu1 + params.mu2 <= 0.0:
+    mu1, mu2 = params.mu1, params.mu2
+    if mu1 + mu2 <= 0.0:
         raise ValueError("free-boundary speed needs mu1 + mu2 > 0")
     c_star, lam_star = compute_cstar(nl, params)  # NoTangency when R0 <= 1
     eq = eq or compute_equilibrium(nl, params)
 
-    values: dict[float, float] = {}
-    last: list[SemiWaveProfile | None] = [None]
-    work = [0, 0]  # profile solves, Newton steps
-
-    def solve(c: float) -> SemiWaveProfile:
-        last[0] = solve_semiwave(c, nl, params, num, eq, c_star, last[0])
-        work[0] += 1
-        work[1] += last[0].newton_steps
-        return last[0]
-
-    def F(c: float) -> float:
-        if c not in values:  # _brent evaluates the bracket ends again
-            prof = solve(c)
-            values[c] = params.mu1 * prof.slope0_phi + params.mu2 * prof.slope0_psi - c
-        return values[c]
-
-    f0 = F(0.0)
-    if f0 <= 0.0:
-        raise NoSignChange(f"F(0)={f0:.3e} not positive: slopes corrupt")
-    c_lo = 0.0
-    c_hi = None
-    top = _C_MAX_FRAC * c_star
-    for i in range(1, _LADDER + 1):
-        ci = top * i / _LADDER
-        if F(ci) <= 0.0:
-            c_hi = ci
+    solves = steps = 0
+    lo, hi = 0.0, _C_MAX_FRAC * c_star
+    c, guess = 0.0, None
+    while True:
+        profile = solve_semiwave(c, nl, params, num, eq, c_star, guess)
+        solves += 1
+        steps += profile.newton_steps
+        f = mu1 * profile.slope0_phi + mu2 * profile.slope0_psi - c
+        if solves == 1 and f <= 0.0:
+            raise NoSignChange(f"F(0)={f:.3e} not positive: slopes corrupt")
+        df = (mu1 * _one_sided_slope(profile.dphi_dc, num.dx)
+              + mu2 * _one_sided_slope(profile.dpsi_dc, num.dx) - 1.0)
+        dc = -f / df if df < 0.0 else math.nan
+        if abs(dc) <= num.c_tol and abs(f) <= num.f_tol:
             break
-        c_lo = ci
-    if c_hi is None:
-        raise NoSignChange(f"F positive over the whole ladder up to {top:.6g}")
+        if f > 0.0:
+            lo = c
+        else:
+            hi = c
+        c_next = c + dc
+        if not lo < c_next < hi:  # NaN included
+            c_next = 0.5 * (lo + hi)
+        if c_next == c or solves == _MAX_C0_SOLVES:
+            break
+        guess = replace(profile, phi=profile.phi + (c_next - c) * profile.dphi_dc,
+                        psi=profile.psi + (c_next - c) * profile.dpsi_dc)
+        c = c_next
 
-    c0 = _brent(F, c_lo, c_hi, xtol=num.c_tol)
-    profile = last[0]
-    if profile.c != c0:
-        profile = solve(c0)
-    f_res = abs(params.mu1 * profile.slope0_phi + params.mu2 * profile.slope0_psi - c0)
+    c0, f_res = profile.c, abs(f)
     if f_res > num.f_tol:
         raise SolverError(f"|F(c0)|={f_res:.3e} exceeds tolerance {num.f_tol}")
     if not (0.0 < c0 < c_star):
         raise SolverError(f"c0={c0} outside (0, c*)")
     return SpeedPair(c_star=c_star, c0=float(c0), lambda_star=lam_star,
-                     F_residual=float(f_res), profile_solves=work[0],
-                     newton_steps=work[1]), profile
+                     F_residual=float(f_res), profile_solves=solves,
+                     newton_steps=steps), profile
 
 
 # ---------------------------------------------------------------------------

@@ -235,7 +235,9 @@ class TestOutcomeReport:
         assert report.classification is Classification.SPREADING
         payload = json.loads(report.to_json())
         assert set(payload) == {"classification", "c_hat", "c_hat_stderr", "h_star_hat",
-                                "drift_variation", "profile_sup_error", "interior_fit", "run"}
+                                "drift_variation", "profile_sup_error", "interior_fit", "run",
+                                "c0_search"}
+        assert payload["c0_search"] is None  # the search's work comes from the CLI
         assert payload["classification"] == "Spreading"
         assert payload["c_hat"] > 0.0
         assert payload["c_hat_stderr"] == report.c_hat_stderr > 0.0

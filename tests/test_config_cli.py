@@ -108,7 +108,7 @@ class TestSpeedsCommand:
         assert "R0" in capsys.readouterr().err
 
     def test_root_finder_failure_exits_3(self, tmp_path, s1_speeds_cfg, monkeypatch):
-        # one Brent step cannot reach c_tol: NoConvergence is a solver failure
+        # one Brent step cannot reach the tail rate beta: NoConvergence is a solver failure
         monkeypatch.setattr(semiwave, "_brent", functools.partial(model._brent, maxiter=1))
         out = tmp_path / "out"
         assert main(["speeds", "--config", s1_speeds_cfg, "--out", str(out)]) == 3
@@ -174,6 +174,19 @@ class TestSimulateCommand:
         run = report["run"]
         assert set(run) == {"steps", "rejected", "euler_fallbacks", "dt_min", "dt_max"}
         assert run["steps"] > 0 and 0.0 < run["dt_min"] <= run["dt_max"]
+        search = report["c0_search"]
+        assert set(search) == {"profile_solves", "newton_steps"}
+        assert 1 <= search["profile_solves"] <= 7
+        assert search["newton_steps"] >= search["profile_solves"]
+
+    def test_report_without_c0_has_null_search(self, tmp_path, capsys):
+        # mu1 = mu2 = 0: the front never moves and there is no c0 to find
+        text = RunConfig.parse(SIM_NEUMANN).override(
+            {"model.mu1": "0", "model.mu2": "0", "stop.t_end": "1"}).serialize()
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", write_cfg(tmp_path / "m0.cfg", text),
+                     "--out", str(out)]) == 0
+        assert json.loads((out / "report.json").read_text())["c0_search"] is None
 
     def test_vanishing_run_classified(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "van.cfg", SIM_VANISH)

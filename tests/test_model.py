@@ -27,7 +27,7 @@ from frontwave.model import (
     saturating,
     validate_initial_data,
 )
-from frontwave.semiwave import SemiwaveNumerics, decay_rate_theoretical, find_c0
+from frontwave.semiwave import decay_rate_theoretical
 
 
 def linear_pair(slope_h=1.0, slope_g=1.0):
@@ -255,8 +255,8 @@ def _root_or_failure(find, *args):
 class TestBrent:
     """model._brent is a port of the routine behind scipy.optimize.brentq: same bits."""
 
-    # 1e-300 is compute_equilibrium's xtol, 1e-15 decay_rate_theoretical's,
-    # 1e-9 find_c0's default c_tol
+    # 1e-300 is compute_equilibrium's xtol (v*), 1e-15 decay_rate_theoretical's
+    # (beta); 1e-9 and 1e-3 are looser tolerances of the same routine
     @pytest.mark.parametrize("xtol", [1e-300, 1e-15, 1e-9, 1e-3])
     @pytest.mark.parametrize("family", sorted(_ROOT_FAMILIES))
     def test_bitwise_equal_to_brentq(self, family, xtol):
@@ -275,7 +275,8 @@ class TestBrent:
         # both; at most those 32 of the 108 cases end without a root
         assert sum(isinstance(x, float) for x in roots) >= 76
 
-    def test_call_sites_match_brentq(self, s1_nl, s1_neumann, s1_c0, monkeypatch):
+    def test_call_sites_match_brentq(self, monkeypatch):
+        # the two call sites: v* in compute_equilibrium, beta in decay_rate_theoretical
         p = ModelParams(1.0, 2.0, 1.0, 1.5, 0.7, 1.3, "neumann")
         nl = saturating(hp=3.0, gq=0.5)
         eq = compute_equilibrium(nl, p)
@@ -284,9 +285,6 @@ class TestBrent:
         monkeypatch.setattr(semiwave, "_brent", _brentq_signature)
         assert compute_equilibrium(nl, p) == eq
         assert decay_rate_theoretical(nl, p, 0.4, eq) == beta
-        pair, profile = find_c0(s1_nl, s1_neumann)
-        assert pair == s1_c0[0]
-        assert np.array_equal(profile.phi, s1_c0[1].phi)
 
     def test_exact_zero_at_either_end_returns_it(self):
         f = lambda x: x - 1.0

@@ -4,8 +4,8 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from frontwave.fbsolver import SolverNumerics, StopRule, simulate
-from frontwave.model import InitialData, ModelParams, saturating
-from frontwave.semiwave import find_c0
+from frontwave.model import InitialData, ModelParams, compute_equilibrium, saturating
+from frontwave.semiwave import SemiwaveNumerics, find_c0, solve_semiwave
 
 _rates = st.floats(0.5, 2.0)
 # saturating sets in the spreading regime: the drawn R0 = hp gp / (a b) > 1 fixes gp
@@ -41,3 +41,12 @@ def test_c0_below_cstar_on_random_spreading_sets(**drawn):
     params, nl = _model(**drawn)
     pair, _ = find_c0(nl, params)
     assert 0.0 < pair.c0 < pair.c_star
+    # and F changes sign within 10 c_tol of c0
+    eq = compute_equilibrium(nl, params)
+    dc = 10.0 * SemiwaveNumerics().c_tol
+
+    def F(c):
+        prof = solve_semiwave(c, nl, params, eq=eq, cstar=pair.c_star)
+        return params.mu1 * prof.slope0_phi + params.mu2 * prof.slope0_psi - c
+
+    assert F(pair.c0 - dc) > 0.0 > F(pair.c0 + dc)

@@ -15,7 +15,14 @@ from frontwave.errors import (
     TailUnderflow,
 )
 from frontwave import semiwave
-from frontwave.model import Equilibrium, ModelParams, cholera, compute_equilibrium, saturating
+from frontwave.model import (
+    Equilibrium,
+    ModelParams,
+    _one_sided_slope,
+    cholera,
+    compute_equilibrium,
+    saturating,
+)
 from frontwave.semiwave import (
     SemiWaveProfile,
     SemiwaveNumerics,
@@ -167,6 +174,23 @@ class TestSemiWaveProfile:
         assert abs(prof2.slope0_psi - prof.slope0_psi) < bound
 
 
+_SPEED_SETS = {
+    "symmetric": (saturating(2.0, 1.0, 2.0, 1.0),
+                  ModelParams(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, "neumann")),
+    "asymmetric": (saturating(hp=3.0, gq=0.5),
+                   ModelParams(1.0, 2.0, 1.0, 1.5, 0.7, 1.3, "neumann")),
+    # 12/beta > 40: the grid changes with c, so most solves are cold
+    "slow_tail": (saturating(hp=1.5, gp=0.35),
+                  ModelParams(1.0, 3.0, 0.5, 0.5, 0.7, 1.3, "neumann")),
+    "large_diffusion": (saturating(hp=2.0, gp=2.0),
+                        ModelParams(200.0, 200.0, 1.0, 1.0, 1.0, 1.0, "neumann")),
+}
+
+
+def _F(p, prof):
+    return p.mu1 * prof.slope0_phi + p.mu2 * prof.slope0_psi - prof.c
+
+
 class TestFreeBoundarySpeed:
     def test_benchmark_root(self, s1_c0):
         pair, prof = s1_c0
@@ -175,7 +199,6 @@ class TestFreeBoundarySpeed:
         assert pair.c_star == pytest.approx(2.0, abs=1e-9)
 
     def test_root_find_solve_count(self, s1_nl, s1_neumann, monkeypatch):
-        # 1 + 8 ladder solves bracket c0 on this set; Brent's method needs only a few more
         calls = []
         solve = semiwave.solve_semiwave
 
@@ -185,8 +208,35 @@ class TestFreeBoundarySpeed:
 
         monkeypatch.setattr(semiwave, "solve_semiwave", counting)
         pair, _ = find_c0(s1_nl, s1_neumann)
-        assert len(calls) <= 20
+        assert len(calls) <= 7
         assert pair.F_residual <= SemiwaveNumerics().f_tol
+
+    @pytest.mark.parametrize("case", ["symmetric", "asymmetric", "slow_tail", "large_diffusion"])
+    def test_residual_changes_sign_across_c0(self, case):
+        nl, p = _SPEED_SETS[case]
+        pair, _ = find_c0(nl, p)
+        eq = compute_equilibrium(nl, p)
+        dc = 10.0 * SemiwaveNumerics().c_tol
+        below = solve_semiwave(pair.c0 - dc, nl, p, eq=eq, cstar=pair.c_star)
+        above = solve_semiwave(pair.c0 + dc, nl, p, eq=eq, cstar=pair.c_star)
+        assert _F(p, below) > 0.0 > _F(p, above)
+
+    @pytest.mark.parametrize("case", ["symmetric", "slow_tail"])
+    def test_sensitivity_slope_matches_centred_difference(self, case):
+        nl, p = _SPEED_SETS[case]
+        pair, prof = find_c0(nl, p)
+        eq = compute_equilibrium(nl, p)
+        num = SemiwaveNumerics(x_max=prof.x_max)  # one grid for every speed
+        h = 1e-4
+        # find_c0's last solve is warm; the one at c0/2 is cold
+        cold = solve_semiwave(0.5 * pair.c0, nl, p, num, eq, pair.c_star)
+        for c, at in ((pair.c0, prof), (cold.c, cold)):
+            plus = solve_semiwave(c + h, nl, p, num, eq, pair.c_star)
+            minus = solve_semiwave(c - h, nl, p, num, eq, pair.c_star)
+            centred = (_F(p, plus) - _F(p, minus)) / (2.0 * h)
+            sens = (p.mu1 * _one_sided_slope(at.dphi_dc, num.dx)
+                    + p.mu2 * _one_sided_slope(at.dpsi_dc, num.dx) - 1.0)
+            assert sens == pytest.approx(centred, rel=1e-5)
 
     def test_residual_at_zero_speed_positive(self, s1_nl, s1_neumann, s1_eq):
         prof = solve_semiwave(0.0, s1_nl, s1_neumann, eq=s1_eq, cstar=2.0)
