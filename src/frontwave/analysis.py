@@ -56,7 +56,7 @@ __all__ = [
 
 
 _H_STABLE_TOL = 1e-3    # front movement allowed over the last half of a vanishing run
-_INTERIOR_RTOL = 0.1    # spreading: interior within 10% of (u*, v*)
+_INTERIOR_TOL = 0.1    # spreading: interior within 10% of (u*, v*)
 
 
 class Classification(str, Enum):
@@ -126,11 +126,11 @@ def classify(trace: RunTrace, thresholds: AnalysisThresholds) -> Classification:
         if trace.snapshots:
             s = trace.snapshots[-1]
             i = int(np.argmin(np.abs(s.x - 0.5 * s.h)))
-            near = (abs(s.u[i] - th.u_star) <= _INTERIOR_RTOL * th.u_star
-                    and abs(s.v[i] - th.v_star) <= _INTERIOR_RTOL * th.v_star)
+            near = (abs(s.u[i] - th.u_star) <= _INTERIOR_TOL * th.u_star
+                    and abs(s.v[i] - th.v_star) <= _INTERIOR_TOL * th.v_star)
         else:
-            near = (trace.sup_u[-1] >= (1.0 - _INTERIOR_RTOL) * th.u_star
-                    and trace.sup_v[-1] >= (1.0 - _INTERIOR_RTOL) * th.v_star)
+            near = (trace.sup_u[-1] >= (1.0 - _INTERIOR_TOL) * th.u_star
+                    and trace.sup_v[-1] >= (1.0 - _INTERIOR_TOL) * th.v_star)
         if near:
             return Classification.SPREADING
     return Classification.UNDECIDED

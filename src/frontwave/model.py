@@ -14,6 +14,9 @@ Closed forms implemented here:
                       / (2 (H'(0)G'(0) - a b)) )
   for a Dirichlet fixed boundary, and half of that for Neumann.
 
+The one scalar root-finder, Newton's method in a sign bracket, solves for
+v* here and for beta(c) and c0 in semiwave.
+
 All types are frozen dataclasses; operations are pure and thread-safe.
 """
 
@@ -296,73 +299,40 @@ def check_hypotheses(nl: Nonlinearity, params: ModelParams, z_max: float) -> Hyp
 
 
 # ---------------------------------------------------------------------------
-# closed forms and the scalar root-finder
+# the scalar root-finder (v*, beta, c0) and the closed forms
 # ---------------------------------------------------------------------------
 
-_RTOL = 4.0 * float(np.finfo(float).eps)  # smallest relative tolerance Brent's test can meet
+def _newton_root(fdf: Callable[[float], tuple[float, float]], x: float, lo: float,
+                 hi: float, xtol: float, ftol: float = math.inf, *,
+                 maxiter: int) -> tuple[float, float]:
+    """Root of f, positive below it, by Newton's method kept in a sign bracket.
 
-
-def _brent(f: Callable[[float], float], a: float, b: float, xtol: float,
-           rtol: float = _RTOL, maxiter: int = 100) -> float:
-    """Root of f in the bracket [a, b] by Brent's method (Brent 1973, ch. 4).
-
-    A port of the C routine behind scipy.optimize.brentq that takes the same
-    iterates bit for bit. xcur is the best iterate, xblk the other end of
-    the bracket and xpre the previous iterate; a step is inverse quadratic
-    or secant when it is short enough, else bisection, and never below
-    delta. Stops when |xblk - xcur| < xtol + rtol*|xcur|. An exact zero at
-    either end returns that end. Raises BracketingFailure when f(a) and f(b)
-    share a sign, NonFinite when f is not finite, and NoConvergence after
-    maxiter steps.
+    ``fdf(x)`` returns (f(x), f'(x)). The bracket [lo, hi] follows the signs
+    of f seen so far; its ends need not be evaluated. An iterate outside the
+    bracket, or f' >= 0, is replaced by the bracket's midpoint, so f need not
+    be monotone. Returns (x, f(x)) at the last evaluated x once the next step
+    is at most xtol and |f| at most ftol, or once a step no longer moves x.
+    Raises NonFinite on a non-finite f or f', and NoConvergence after
+    maxiter evaluations.
     """
-    def fx(x: float) -> float:
-        y = float(f(x))
-        if not math.isfinite(y):
-            raise NonFinite(f"root-finder: f({x!r}) = {y}")
-        return y
-
-    def neg(y: float) -> bool:  # the sign bit: a product fpre*fcur can underflow
-        return math.copysign(1.0, y) < 0.0
-
-    xpre, xcur = float(a), float(b)
-    fpre, fcur = fx(xpre), fx(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if neg(fpre) == neg(fcur):
-        raise BracketingFailure(f"f({xpre!r}) and f({xcur!r}) have the same sign")
-    xblk = fblk = spre = scur = 0.0
     for _ in range(maxiter):
-        if fpre != 0.0 and fcur != 0.0 and neg(fpre) != neg(fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        stry = math.inf  # bisect unless an interpolated step is short enough
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:  # secant
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:  # inverse quadratic
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            except ZeroDivisionError:  # inf or NaN in C, which bisects
-                pass
-        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-            spre, scur = scur, stry
+        f, df = fdf(x)
+        if not (math.isfinite(f) and math.isfinite(df)):
+            raise NonFinite(f"root-finder: f({x!r}) = {f}, f'({x!r}) = {df}")
+        dx = -f / df if df < 0.0 else math.nan
+        if abs(dx) <= xtol and abs(f) <= ftol:
+            return x, f
+        if f > 0.0:
+            lo = x
         else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = fx(xcur)
-    raise NoConvergence(maxiter, f"Brent root-find, last iterate {xcur!r}")
+            hi = x
+        x_next = x + dx
+        if not lo < x_next < hi:  # NaN included
+            x_next = 0.5 * (lo + hi)
+        if x_next == x:
+            return x, f
+        x = x_next
+    raise NoConvergence(maxiter, f"Newton root-find, next iterate {x!r}")
 
 
 def compute_R0(nl: Nonlinearity, params: ModelParams) -> float:
@@ -371,35 +341,30 @@ def compute_R0(nl: Nonlinearity, params: ModelParams) -> float:
 
 
 def compute_equilibrium(nl: Nonlinearity, params: ModelParams) -> Equilibrium:
-    """Positive root of a*u = H(v), b*v = G(u) by Brent's method.
+    """Positive root of a*u = H(v), b*v = G(u) by Newton's method.
 
-    Scalar root-find on g(v) = b*v - G(H(v)/a): negative near 0 when R0 > 1,
-    positive for large v by the saturation clause. The bracket grows by
-    doubling from [eps, 1]; Brent's method then runs to a few ulp of v*. Both
-    residuals come out <= 1e-12 relative.
+    f(v) = G(H(v)/a) - b*v is positive near 0 when R0 > 1, negative for large
+    v by the saturation clause, and concave, so Newton's method from the
+    right needs no lower end. The start doubles from 1 while f > 0 (a root at
+    a doubling point returns at once). Both residuals come out <= 1e-12.
     """
     a, b = params.a, params.b
     if compute_R0(nl, params) <= 1.0:
         raise NoPositiveRoot("R0 <= 1: only the trivial equilibrium exists")
 
-    def g(v: float) -> float:
-        return b * v - float(nl.G(float(nl.H(v)) / a))
+    def fdf(v: float) -> tuple[float, float]:
+        u = float(nl.H(v)) / a
+        return float(nl.G(u)) - b * v, float(nl.dG(u)) * float(nl.dH(v)) / a - b
 
-    lo = 1e-12
-    while g(lo) >= 0.0:
-        lo *= 0.5
-        if lo < 1e-300:
-            raise BracketingFailure("no negative value of g near 0")
     hi = 1.0
     doublings = 0
-    while g(hi) <= 0.0:
-        lo = hi  # g(hi) <= 0: hi is a valid lower bracket end
+    while fdf(hi)[0] > 0.0:
         hi *= 2.0
         doublings += 1
         if doublings > 200:
             raise BracketingFailure("bracket expansion exhausted without sign change")
 
-    v = _brent(g, lo, hi, xtol=1e-300)
+    v, _ = _newton_root(fdf, hi, 0.0, hi, 0.0, maxiter=100)
     u = float(nl.H(v)) / a
     res_u = abs(a * u - float(nl.H(v))) / max(abs(a * u), 1e-300)
     res_v = abs(b * v - float(nl.G(u))) / max(abs(b * v), 1e-300)

@@ -23,12 +23,12 @@ which has a unique strictly increasing solution for every speed c in
   F(0) > 0 since the slopes are positive. Each profile solve also returns
   the speed sensitivity s = d(phi, psi)/dc from the Jacobian it already
   factors, which gives F'(c) and a tangent predictor for the next solve;
-  Newton's method on F, kept inside a sign bracket by bisection, finds c0.
+  Newton's method on F in a sign bracket (model._newton_root) finds c0.
 
 * beta(c): the tail rate in (u* - phi, v* - psi) ~ e^{-beta x} (p, q).
   Linearizing at (u*, v*) gives (d1 b^2 + c b - a)(d2 b^2 + c b - b) =
   H'(v*) G'(u*); a positive eigenvector (p, q) forces both factors
-  negative, i.e. the smaller positive root.
+  negative, i.e. the smaller positive root; the same root-finder finds it.
 
 The BVP is discretized by second-order central differences with a hard
 pin to (u*, v*) at the truncation point X_max = max(40, 12/beta), and the
@@ -60,7 +60,7 @@ from .model import (
     Equilibrium,
     ModelParams,
     Nonlinearity,
-    _brent,
+    _newton_root,
     _one_sided_slope,
     compute_equilibrium,
 )
@@ -93,8 +93,8 @@ _STOP_ROUNDING = 8.0 * float(np.finfo(float).eps)
 # at 0.999 c* some of them need more than 40
 _MAX_NEWTON = 40
 _C_MAX_FRAC = 0.999             # top of the c0 bracket until F(c) <= 0 is seen, over c*
-# profile solves per c0 search: bisection alone needs ~30 to shrink the
-# bracket from c* to c_tol; Newton takes 3-11 on the test sets
+# profile solves per c0 search before NoConvergence: bisection alone needs
+# ~30 to shrink the bracket from c* to c_tol; Newton takes 3-11 on the test sets
 _MAX_C0_SOLVES = 50
 
 
@@ -217,7 +217,8 @@ def decay_rate_theoretical(nl: Nonlinearity, params: ModelParams, c: float,
     beta is the unique positive root of
         (a - d1 b^2 - c b)(b - d2 b^2 - c b) = H'(v*) G'(u*)
     with both factors positive (the eigenvector (p, q) is then positive);
-    that is the smaller of the two positive roots of the quartic.
+    that is the smaller of the two positive roots of the quartic, found by
+    Newton's method from 0 in [0, bmax], bmax the first zero of a factor.
     """
     eq = eq or compute_equilibrium(nl, params)
     prod = eq.Hp_vstar * eq.Gp_ustar
@@ -229,10 +230,12 @@ def decay_rate_theoretical(nl: Nonlinearity, params: ModelParams, c: float,
     beta_b = (-c + math.sqrt(c * c + 4.0 * d2 * b)) / (2.0 * d2)
     bmax = min(beta_a, beta_b)
 
-    def g(beta):
-        return (a - d1 * beta * beta - c * beta) * (b - d2 * beta * beta - c * beta) - prod
+    def fdf(beta: float) -> tuple[float, float]:
+        fa = a - d1 * beta * beta - c * beta
+        fb = b - d2 * beta * beta - c * beta
+        return fa * fb - prod, -(2.0 * d1 * beta + c) * fb - (2.0 * d2 * beta + c) * fa
 
-    beta = _brent(g, 0.0, bmax, xtol=1e-15, rtol=8.9e-16)
+    beta, _ = _newton_root(fdf, 0.0, 0.0, bmax, 0.0, maxiter=100)
     p_over_q = eq.Hp_vstar / (a - d1 * beta * beta - c * beta)
     return float(beta), float(p_over_q)
 
@@ -342,10 +345,12 @@ def _validate_profile(phi, psi, u_star, v_star):
             raise SolverError(f"{name}(0) not pinned to zero")
         if w.min() < 0.0 or w.max() > w_star:
             raise SolverError(f"{name} outside [0, {name}*]")
+        # a decrease below the saturation tolerance is rounding next to w*
+        tol = _SATURATION_TOL * max(w_star, 1.0)
         d = np.diff(w)
-        if np.any(d < 0.0):
+        if np.any(d < -tol):
             raise SolverError(f"{name} not monotone")
-        unsaturated = (w_star - w[:-1]) > _SATURATION_TOL * max(w_star, 1.0)
+        unsaturated = (w_star - w[:-1]) > tol
         if np.any(d[unsaturated] <= 0.0):
             raise SolverError(f"{name} not strictly increasing away from saturation")
 
@@ -434,17 +439,15 @@ def find_c0(nl: Nonlinearity, params: ModelParams,
             ) -> tuple[SpeedPair, SemiWaveProfile]:
     """Locate the unique c0 in (0, c*) with mu1*phi'(0) + mu2*psi'(0) = c0.
 
-    Newton's method on F(c) = mu1*phi'(0) + mu2*psi'(0) - c, from c = 0
-    (F(0) > 0 always: the slopes are positive). F'(c) comes from the
-    profile's speed sensitivity s through the same slope stencil, and each
-    solve starts from the tangent predictor profile + dc*s. A bracket
-    [lo, hi] follows the signs of F, with hi = 0.999 c* until F <= 0 is
-    seen; an iterate outside it, or F' >= 0, is replaced by the bracket's
-    midpoint, so monotonicity of F is not assumed. The search stops when
-    the next step is at most c_tol and |F| at most f_tol, and returns the
-    last solved profile; after 50 solves, or a step that no longer moves c,
-    it ends and |F| > f_tol raises SolverError. The SpeedPair counts the
-    profile solves and their band solves.
+    model._newton_root on F(c) = mu1*phi'(0) + mu2*psi'(0) - c from c = 0
+    (F(0) > 0: the slopes are positive), in a bracket whose top is 0.999 c*
+    until F <= 0 is seen. F'(c) comes from the profile's speed sensitivity
+    s through the same slope stencil, and each solve starts from the
+    tangent predictor profile + dc*s. The search stops when the next step
+    is at most c_tol and |F| at most f_tol, or when a step no longer moves
+    c, and returns the last solved profile; |F| > f_tol then raises
+    SolverError, and 50 solves raise NoConvergence. The SpeedPair counts
+    the profile solves and their band solves.
     """
     num = numerics or SemiwaveNumerics()
     mu1, mu2 = params.mu1, params.mu2
@@ -453,10 +456,14 @@ def find_c0(nl: Nonlinearity, params: ModelParams,
     c_star, lam_star = compute_cstar(nl, params)  # NoTangency when R0 <= 1
     eq = eq or compute_equilibrium(nl, params)
 
+    profile = None  # the last solved profile
     solves = steps = 0
-    lo, hi = 0.0, _C_MAX_FRAC * c_star
-    c, guess = 0.0, None
-    while True:
+
+    def fdf(c: float) -> tuple[float, float]:
+        nonlocal profile, solves, steps
+        guess = None if profile is None else replace(
+            profile, phi=profile.phi + (c - profile.c) * profile.dphi_dc,
+            psi=profile.psi + (c - profile.c) * profile.dpsi_dc)
         profile = solve_semiwave(c, nl, params, num, eq, c_star, guess)
         solves += 1
         steps += profile.newton_steps
@@ -465,23 +472,11 @@ def find_c0(nl: Nonlinearity, params: ModelParams,
             raise NoSignChange(f"F(0)={f:.3e} not positive: slopes corrupt")
         df = (mu1 * _one_sided_slope(profile.dphi_dc, num.dx)
               + mu2 * _one_sided_slope(profile.dpsi_dc, num.dx) - 1.0)
-        dc = -f / df if df < 0.0 else math.nan
-        if abs(dc) <= num.c_tol and abs(f) <= num.f_tol:
-            break
-        if f > 0.0:
-            lo = c
-        else:
-            hi = c
-        c_next = c + dc
-        if not lo < c_next < hi:  # NaN included
-            c_next = 0.5 * (lo + hi)
-        if c_next == c or solves == _MAX_C0_SOLVES:
-            break
-        guess = replace(profile, phi=profile.phi + (c_next - c) * profile.dphi_dc,
-                        psi=profile.psi + (c_next - c) * profile.dpsi_dc)
-        c = c_next
+        return f, df
 
-    c0, f_res = profile.c, abs(f)
+    c0, f = _newton_root(fdf, 0.0, 0.0, _C_MAX_FRAC * c_star, num.c_tol, num.f_tol,
+                         maxiter=_MAX_C0_SOLVES)
+    f_res = abs(f)
     if f_res > num.f_tol:
         raise SolverError(f"|F(c0)|={f_res:.3e} exceeds tolerance {num.f_tol}")
     if not (0.0 < c0 < c_star):

@@ -1,4 +1,3 @@
-import functools
 import json
 import math
 import os
@@ -108,8 +107,11 @@ class TestSpeedsCommand:
         assert "R0" in capsys.readouterr().err
 
     def test_root_finder_failure_exits_3(self, tmp_path, s1_speeds_cfg, monkeypatch):
-        # one Brent step cannot reach the tail rate beta: NoConvergence is a solver failure
-        monkeypatch.setattr(semiwave, "_brent", functools.partial(model._brent, maxiter=1))
+        # one Newton step cannot reach the tail rate beta: NoConvergence is a solver failure
+        def one_step(*args, **kwargs):
+            return model._newton_root(*args, **{**kwargs, "maxiter": 1})
+
+        monkeypatch.setattr(semiwave, "_newton_root", one_step)
         out = tmp_path / "out"
         assert main(["speeds", "--config", s1_speeds_cfg, "--out", str(out)]) == 3
         assert (out / "FAILED").read_text().startswith("NoConvergence:")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from frontwave import model, semiwave
+from frontwave import model
 from frontwave.errors import (
     BracketingFailure,
     InvalidRegime,
@@ -27,7 +27,6 @@ from frontwave.model import (
     saturating,
     validate_initial_data,
 )
-from frontwave.semiwave import decay_rate_theoretical
 
 
 def linear_pair(slope_h=1.0, slope_g=1.0):
@@ -100,8 +99,8 @@ class TestR0:
 class TestEquilibrium:
     def test_benchmark_fixed_point(self, s1_nl, s1_neumann):
         eq = compute_equilibrium(s1_nl, s1_neumann)
-        assert eq.u_star == pytest.approx(1.0, abs=1e-12)
-        assert eq.v_star == pytest.approx(1.0, abs=1e-12)
+        # the first doubling point is the root: f(1) = G(H(1)) - 1 = 0 exactly
+        assert (eq.u_star, eq.v_star) == (1.0, 1.0)
         assert eq.Hp_vstar == pytest.approx(0.5, abs=1e-12)
 
     def test_subcritical_raises(self):
@@ -230,91 +229,51 @@ class TestModelParams:
         assert p.boundary is BoundaryKind.DIRICHLET
 
 
-# root families for the Brent parity check: root r, steepness or power s
-_ROOT_FAMILIES = {
-    "tanh": lambda r, s: (lambda x: math.tanh(s * (x - r))),
-    "exp": lambda r, s: (lambda x: math.exp(s * (x - r)) - 1.0),
-    "atan": lambda r, s: (lambda x: math.atan(s * (x - r))),
-    "power": lambda r, s: (lambda x: math.copysign(abs(x - r) ** s, x - r)),
-}
+class TestNewtonRoot:
+    """model._newton_root: Newton's method in a sign bracket, f positive below the root."""
 
-
-def _brentq_signature(f, a, b, xtol, rtol=model._RTOL, maxiter=100):
-    """scipy's brentq behind _brent's call signature."""
-    return brentq(f, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter)
-
-
-def _root_or_failure(find, *args):
-    """The root, or "no convergence" when the root-finder runs out of iterations."""
-    try:
-        return find(*args)
-    except (RuntimeError, NoConvergence):  # brentq raises the one, _brent the other
-        return "no convergence"
-
-
-class TestBrent:
-    """model._brent is a port of the routine behind scipy.optimize.brentq: same bits."""
-
-    # 1e-300 is compute_equilibrium's xtol (v*), 1e-15 decay_rate_theoretical's
-    # (beta); 1e-9 and 1e-3 are looser tolerances of the same routine
-    @pytest.mark.parametrize("xtol", [1e-300, 1e-15, 1e-9, 1e-3])
-    @pytest.mark.parametrize("family", sorted(_ROOT_FAMILIES))
-    def test_bitwise_equal_to_brentq(self, family, xtol):
-        roots = []
-        for r in (-2.5, 0.3, 1.7):
-            for s in (0.5, 1.0, 3.0):
-                f = _ROOT_FAMILIES[family](r, s)
-                for lo, hi in ((r - 1.3, r + 2.1), (r - 0.01, r + 7.0)):
-                    for a, b in ((lo, hi), (hi, lo)):  # both orientations
-                        for rtol in (model._RTOL, 8.9e-16, 1e-10):
-                            args = (f, a, b, xtol, rtol)
-                            got = _root_or_failure(model._brent, *args)
-                            assert got == _root_or_failure(_brentq_signature, *args), args
-                            roots.append(got)
-        # the flat roots of |x - r|^3 exhaust 100 iterations at tight xtol, in
-        # both; at most those 32 of the 108 cases end without a root
-        assert sum(isinstance(x, float) for x in roots) >= 76
-
-    def test_call_sites_match_brentq(self, monkeypatch):
-        # the two call sites: v* in compute_equilibrium, beta in decay_rate_theoretical
-        p = ModelParams(1.0, 2.0, 1.0, 1.5, 0.7, 1.3, "neumann")
-        nl = saturating(hp=3.0, gq=0.5)
-        eq = compute_equilibrium(nl, p)
-        beta = decay_rate_theoretical(nl, p, 0.4, eq)
-        monkeypatch.setattr(model, "_brent", _brentq_signature)
-        monkeypatch.setattr(semiwave, "_brent", _brentq_signature)
-        assert compute_equilibrium(nl, p) == eq
-        assert decay_rate_theoretical(nl, p, 0.4, eq) == beta
-
-    def test_exact_zero_at_either_end_returns_it(self):
-        f = lambda x: x - 1.0
-        assert model._brent(f, 1.0, 3.0, 1e-12) == 1.0 == brentq(f, 1.0, 3.0, xtol=1e-12)
-        assert model._brent(f, -2.0, 1.0, 1e-12) == 1.0 == brentq(f, -2.0, 1.0, xtol=1e-12)
-
-    def test_same_sign_bracket_raises(self):
-        with pytest.raises(BracketingFailure):
-            model._brent(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12)
-        # a product of the two end values underflows to 0 here; the sign bits do not
-        with pytest.raises(BracketingFailure):
-            model._brent(lambda x: 1e-200 * x, 1.0, 2.0, 1e-12)
-
-    @pytest.mark.parametrize("f", [
-        lambda x: math.nan,
-        lambda x: math.nan if 0.2 < x < 0.8 else x - 0.5,  # first secant step lands on 0.5
-        lambda x: math.inf if x > 0.0 else -1.0,
-    ], ids=["nan-at-end", "nan-inside", "inf-at-end"])
-    def test_nonfinite_value_raises(self, f):
+    @pytest.mark.parametrize("fdf", [
+        lambda x: (math.nan, -1.0),
+        lambda x: (math.nan, -1.0) if 0.2 < x < 0.8 else (0.5 - x, -1.0),  # first step lands on 0.5
+        lambda x: (math.inf, -1.0) if x > 0.0 else (1.0, -1.0),
+        lambda x: (0.5 - x, -math.inf),
+    ], ids=["nan-at-start", "nan-inside", "inf-value", "inf-slope"])
+    def test_nonfinite_value_raises(self, fdf):
         with pytest.raises(NonFinite):
-            model._brent(f, -1.0, 2.0, 1e-12)
+            model._newton_root(fdf, 0.0, -1.0, 2.0, 1e-12, maxiter=100)
 
     def test_maxiter_raises_no_convergence(self):
-        f = lambda x: x ** 3 - 2.0
-        with pytest.raises(RuntimeError):
-            brentq(f, 0.0, 2.0, xtol=1e-12, maxiter=2)
+        fdf = lambda x: (2.0 - x ** 3, -3.0 * x * x)
         with pytest.raises(NoConvergence) as info:
-            model._brent(f, 0.0, 2.0, 1e-12, maxiter=2)
+            model._newton_root(fdf, 0.0, 0.0, 2.0, 1e-12, maxiter=2)
         assert info.value.iterations == 2
-        assert model._brent(f, 0.0, 2.0, 1e-12) == brentq(f, 0.0, 2.0, xtol=1e-12)
+        root, f = model._newton_root(fdf, 0.0, 0.0, 2.0, 0.0, maxiter=100)
+        assert root == pytest.approx(2.0 ** (1.0 / 3.0), rel=4e-16) and abs(f) <= 1e-15
+
+    def test_exact_zero_returns_at_once(self):
+        calls = []
+
+        def fdf(x):
+            calls.append(x)
+            return 1.0 - x, -1.0
+
+        assert model._newton_root(fdf, 1.0, 0.0, 3.0, 0.0, maxiter=100) == (1.0, 0.0)
+        assert calls == [1.0]
+
+    @pytest.mark.parametrize("slope, most", [
+        (lambda x: 0.0, 100),                                 # every step a midpoint
+        (lambda x: 1.0 if x == 0.0 else -3.0 * x * x, 10),    # one midpoint, then Newton
+    ], ids=["zero-everywhere", "positive-at-start"])
+    def test_nonnegative_slope_bisects_and_converges(self, slope, most):
+        calls = []
+
+        def fdf(x):
+            calls.append(x)
+            return 2.0 - x ** 3, slope(x)
+
+        root, _ = model._newton_root(fdf, 0.0, 0.0, 2.0, 1e-12, maxiter=100)
+        assert root == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-15)
+        assert calls[1] == 1.0 and len(calls) <= most
 
     def test_failures_are_solver_errors(self):
         # the CLI maps SolverError to exit 3

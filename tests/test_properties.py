@@ -1,11 +1,19 @@
 """Invariants of the free-boundary solver over random admissible parameters."""
 
+import math
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import brentq
 
 from frontwave.fbsolver import SolverNumerics, StopRule, simulate
 from frontwave.model import InitialData, ModelParams, compute_equilibrium, saturating
-from frontwave.semiwave import SemiwaveNumerics, find_c0, solve_semiwave
+from frontwave.semiwave import (
+    SemiwaveNumerics,
+    decay_rate_theoretical,
+    find_c0,
+    solve_semiwave,
+)
 
 _rates = st.floats(0.5, 2.0)
 # saturating sets in the spreading regime: the drawn R0 = hp gp / (a b) > 1 fixes gp
@@ -50,3 +58,17 @@ def test_c0_below_cstar_on_random_spreading_sets(**drawn):
         return params.mu1 * prof.slope0_phi + params.mu2 * prof.slope0_psi - c
 
     assert F(pair.c0 - dc) > 0.0 > F(pair.c0 + dc)
+    # v*, beta(0) and beta(c0) against scipy's brentq run to its tightest tolerance
+    a, b, d1, d2 = params.a, params.b, params.d1, params.d2
+    tight = dict(xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
+    v_ref = brentq(lambda v: b * v - float(nl.G(float(nl.H(v)) / a)),
+                   0.5 * eq.v_star, 2.0 * eq.v_star, **tight)
+    assert abs(eq.v_star / v_ref - 1.0) <= 1e-13
+    prod = eq.Hp_vstar * eq.Gp_ustar
+    for c in (0.0, pair.c0):
+        bmax = min((-c + math.sqrt(c * c + 4.0 * d1 * a)) / (2.0 * d1),
+                   (-c + math.sqrt(c * c + 4.0 * d2 * b)) / (2.0 * d2))
+        beta_ref = brentq(lambda x: (a - d1 * x * x - c * x) * (b - d2 * x * x - c * x) - prod,
+                          0.0, bmax, **tight)
+        beta, _ = decay_rate_theoretical(nl, params, c, eq)
+        assert abs(beta / beta_ref - 1.0) <= 1e-13

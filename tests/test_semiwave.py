@@ -7,6 +7,7 @@ from scipy.optimize import brentq
 
 from frontwave.errors import (
     NoAdmissibleRoot,
+    NoConvergence,
     NoPositiveRoot,
     NoSignChange,
     NoTangency,
@@ -211,6 +212,22 @@ class TestFreeBoundarySpeed:
         assert len(calls) <= 7
         assert pair.F_residual <= SemiwaveNumerics().f_tol
 
+    def test_solve_cap_raises_no_convergence(self, s1_nl, s1_neumann, monkeypatch):
+        # the symmetric set needs 5 solves; the cap ends the search loudly,
+        # whatever |F| is when it is reached
+        monkeypatch.setattr(semiwave, "_MAX_C0_SOLVES", 2)
+        with pytest.raises(NoConvergence) as info:
+            find_c0(s1_nl, s1_neumann)
+        assert info.value.iterations == 2
+
+    def test_rounding_dip_at_saturation_is_accepted(self):
+        # the c = 0 profile converges (residual 5.6e-13) and phi falls by
+        # 2.2e-16 next to u*: rounding, which the profile check must accept
+        p = ModelParams(0.5, 0.5, 1.0, 1.03125, 1.0, 1.0, "neumann")
+        nl = saturating(1.9375, 1.0, 4.65625 * 1.03125 / 1.9375, 1.05859375)
+        pair, _ = find_c0(nl, p)
+        assert pair.c0 == pytest.approx(0.518205035697, abs=1e-9)
+
     @pytest.mark.parametrize("case", ["symmetric", "asymmetric", "slow_tail", "large_diffusion"])
     def test_residual_changes_sign_across_c0(self, case):
         nl, p = _SPEED_SETS[case]
@@ -322,6 +339,13 @@ class TestNewton:
         assert info == 0
         want = np.linalg.solve(dense, -r)
         assert np.max(np.abs(delta - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_decrease_beyond_saturation_tol_rejected(self):
+        ok = np.array([0.0, 0.5, 1.0, 1.0 - 2e-16, 1.0])  # a rounding dip at w* = 1
+        semiwave._validate_profile(ok, ok, 1.0, 1.0)
+        bad = np.array([0.0, 0.5, 1.0, 1.0 - 1e-10, 1.0])
+        with pytest.raises(SolverError, match="phi not monotone"):
+            semiwave._validate_profile(bad, ok, 1.0, 1.0)
 
     def test_failed_band_solve_fails_the_profile(self, s1_nl, s1_neumann, s1_eq, monkeypatch):
         gbsv = semiwave.dgbsv
