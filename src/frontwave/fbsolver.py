@@ -48,7 +48,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 from .errors import NegativeSpeed, NonFinite, StabilityViolation, StepSizeCollapse
 from .model import (
@@ -60,6 +59,7 @@ from .model import (
     validate_initial_data,
 )
 from ._format import write_csv
+from ._lapack import dgtsv
 
 __all__ = [
     "SolverNumerics",

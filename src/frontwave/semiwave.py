@@ -45,7 +45,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg.lapack import dgbsv
 
 from .errors import (
     NoAdmissibleRoot,
@@ -65,6 +64,7 @@ from .model import (
     compute_equilibrium,
 )
 from ._format import write_csv
+from ._lapack import dgbsv
 
 __all__ = [
     "SemiwaveNumerics",

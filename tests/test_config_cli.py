@@ -117,16 +117,17 @@ class TestSpeedsCommand:
         assert (out / "FAILED").read_text().startswith("NoConvergence:")
 
 
-def test_cli_import_leaves_scipy_optimize_out():
-    # a fresh interpreter: the test session itself imports scipy.optimize
+def test_cli_import_loads_only_flapack_from_scipy():
+    # a fresh interpreter: the test session itself imports scipy.linalg and
+    # scipy.optimize; the CLI needs scipy's LAPACK wrapper and no package init
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     code = ("import sys, frontwave.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))")
+            "print(sorted(m for m in sys.modules if m.startswith(('scipy', 'numpy.f2py'))))")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.strip() == "['scipy.linalg._flapack']"
 
 
 SIM_NEUMANN = S1_BASE + """\
