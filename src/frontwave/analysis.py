@@ -436,7 +436,7 @@ class OutcomeReport:
     profile_sup_error: tuple
     interior_fit: dict | None
     run: dict  # the solver's RunStats: step counts and the accepted dt range
-    c0_search: dict | None  # find_c0's work (profile_solves, newton_steps); None without c0
+    c0_search: dict | None  # find_c0's work and iterates, as in speeds.json; None without c0
 
     def to_json(self) -> str:
         return json_dumps({

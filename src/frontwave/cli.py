@@ -12,7 +12,6 @@ import argparse
 import hashlib
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import analysis, fbsolver, model, semiwave
 from .config import (
@@ -65,6 +64,12 @@ def _write_text(outdir: str, name: str, text: str) -> None:
         fh.write(text)
 
 
+def _search(pair: semiwave.SpeedPair) -> dict:
+    """The work of a c0 search, as speeds.json and report.json carry it."""
+    return {"profile_solves": pair.profile_solves, "newton_steps": pair.newton_steps,
+            "cold_solves": pair.cold_solves, "iterates": pair.iterates}
+
+
 def cmd_speeds(cfg: RunConfig, outdir: str, args) -> list:
     nl = build_nonlinearity(cfg)
     params = build_params(cfg)
@@ -88,8 +93,7 @@ def cmd_speeds(cfg: RunConfig, outdir: str, args) -> list:
         "F_residual": pair.F_residual,
         "beta": beta_c0,
         "beta0": beta0,
-        "profile_solves": pair.profile_solves,
-        "newton_steps": pair.newton_steps,
+        **_search(pair),
     })
     _write_text(outdir, "speeds.json", text)
     sys.stdout.write(text)
@@ -139,7 +143,7 @@ def _outcome(cfg: RunConfig, with_c0: bool) -> tuple:
     if with_c0 and eq is not None and params.mu1 + params.mu2 > 0.0:
         pair, profile = semiwave.find_c0(nl, params, sw_numerics, eq)
         c0 = pair.c0
-        search = {"profile_solves": pair.profile_solves, "newton_steps": pair.newton_steps}
+        search = _search(pair)
     report = analysis.build_outcome_report(trace, thresholds, c0=c0, profile=profile, eq=eq,
                                            c0_search=search)
     return params, trace, report
@@ -185,6 +189,8 @@ def cmd_sweep(cfg: RunConfig, outdir: str, args) -> list:
     if workers == 1:
         rows = [_sweep_cell(p) for p in payloads]
     else:
+        # multiprocessing is loaded only here, off every other command's import path
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_cell, payloads))  # input order, not completion order
     write_csv(os.path.join(outdir, "outcomes.csv"), _SWEEP_HEADER, rows)

@@ -31,9 +31,10 @@ which has a unique strictly increasing solution for every speed c in
   negative, i.e. the smaller positive root; the same root-finder finds it.
 
 The BVP is discretized by second-order central differences with a hard
-pin to (u*, v*) at the truncation point X_max = max(40, 12/beta), and the
+pin to (u*, v*) at the truncation point X_max = 12/beta(c), and the
 discrete system is solved by a damped Newton iteration, cold from the guess
-(u* tanh x, v* tanh x) or warm from a neighbouring speed's predicted profile.
+(u* tanh x, v* tanh x) or warm from a neighbouring speed's predicted profile,
+whose grid may be shorter or longer than the new one.
 Newton stops at the rounding level of the discrete residual, 8 eps max(d1 u*,
 d2 v*) / dx^2; a profile is accepted at a residual of 1e-8. The half-line
 steady state (the bounded positive solution at rest) is the c = 0 profile.
@@ -101,7 +102,7 @@ _MAX_C0_SOLVES = 50
 @dataclass(frozen=True)
 class SemiwaveNumerics:
     dx: float = 0.02
-    x_max: float | None = None      # None: max(40, 12/beta), rounded to the grid
+    x_max: float | None = None      # None: 12/beta(c), rounded to the grid
     c_tol: float = 1e-9             # bound on the last Newton step of the c0 search
     f_tol: float = 1e-8             # bound on |F(c0)|
 
@@ -127,6 +128,7 @@ class SemiWaveProfile:
     residual_inf: float
     x_max: float
     newton_steps: int = 0           # band solves, a failed warm start's included
+    cold: bool = True               # Newton started from the tanh guess
     dphi_dc: np.ndarray | None = None   # speed sensitivity on the same grid
     dpsi_dc: np.ndarray | None = None
 
@@ -142,6 +144,8 @@ class SpeedPair:
     F_residual: float
     profile_solves: int             # solve_semiwave calls made by find_c0
     newton_steps: int               # band solves (dgbsv calls) over those calls
+    cold_solves: int                # those calls that started from the tanh guess
+    iterates: tuple                 # the search's (c, F(c)), in order
 
 
 @dataclass(frozen=True)
@@ -363,11 +367,13 @@ def solve_semiwave(c: float, nl: Nonlinearity, params: ModelParams,
     """Solve the half-line profile at speed c in [0, c*).
 
     Damped Newton drives the discrete residual to its rounding level (see
-    the module docstring), starting from ``initial_guess`` when it lies on
-    the same grid (find_c0's tangent predictor) and from (u* tanh x,
-    v* tanh x) otherwise; a warm start that fails falls back to the cold
-    guess once. The profile carries its speed sensitivity d(phi, psi)/dc,
-    zero at both pinned ends. At c = 0 this is the half-line steady state;
+    the module docstring), starting from ``initial_guess`` when it has the
+    same dx (find_c0's tangent predictor) and from (u* tanh x, v* tanh x)
+    otherwise; a warm start that fails falls back to the cold guess once.
+    Nodes sit at k dx, so a guess on a shorter grid is extended by (u*, v*)
+    and one on a longer grid is cut, its last node pinned again. The
+    profile carries its speed sensitivity d(phi, psi)/dc, zero at both
+    pinned ends. At c = 0 this is the half-line steady state;
     below threshold (R0 <= 1) the equilibrium, and with it the profile,
     does not exist (NoPositiveRoot).
     """
@@ -380,20 +386,18 @@ def solve_semiwave(c: float, nl: Nonlinearity, params: ModelParams,
         raise SpeedOutOfRange(f"c={c} >= c*={cs}")
 
     beta, _ = decay_rate_theoretical(nl, params, c, eq)
-    if num.x_max is None:
-        x_max = max(40.0, 12.0 / beta)
-    else:
-        x_max = num.x_max
+    x_max = 12.0 / beta if num.x_max is None else num.x_max
     n_cells = int(math.ceil(x_max / num.dx - 1e-12))
     x = np.linspace(0.0, n_cells * num.dx, n_cells + 1)
     dx = num.dx
     x_max = float(x[-1])
 
-    warm = (initial_guess is not None and initial_guess.x_nodes.size == x.size
-            and abs(initial_guess.x_max - x_max) < 1e-12)
-    if warm:
-        phi = initial_guess.phi.copy()
-        psi = initial_guess.psi.copy()
+    warm = initial_guess is not None and abs(initial_guess.x_nodes[1] - dx) <= 1e-12 * dx
+    if warm:  # the guess's interior nodes that fit; (u*, v*) from there to the pin
+        n = min(x.size, initial_guess.x_nodes.size) - 1
+        phi = np.full(x.size, eq.u_star)
+        psi = np.full(x.size, eq.v_star)
+        phi[:n], psi[:n] = initial_guess.phi[:n], initial_guess.psi[:n]
     else:
         phi = eq.u_star * np.tanh(x)
         psi = eq.v_star * np.tanh(x)
@@ -424,6 +428,7 @@ def solve_semiwave(c: float, nl: Nonlinearity, params: ModelParams,
         residual_inf=float(res),
         x_max=x_max,
         newton_steps=steps,
+        cold=not warm,
         dphi_dc=np.concatenate(([0.0], sens[0::2], [0.0])),
         dpsi_dc=np.concatenate(([0.0], sens[1::2], [0.0])),
     )
@@ -447,7 +452,8 @@ def find_c0(nl: Nonlinearity, params: ModelParams,
     is at most c_tol and |F| at most f_tol, or when a step no longer moves
     c, and returns the last solved profile; |F| > f_tol then raises
     SolverError, and 50 solves raise NoConvergence. The SpeedPair counts
-    the profile solves and their band solves.
+    the profile solves, their band solves and the cold ones among them, and
+    lists the iterates (c, F(c)).
     """
     num = numerics or SemiwaveNumerics()
     mu1, mu2 = params.mu1, params.mu2
@@ -457,17 +463,20 @@ def find_c0(nl: Nonlinearity, params: ModelParams,
     eq = eq or compute_equilibrium(nl, params)
 
     profile = None  # the last solved profile
-    solves = steps = 0
+    solves = steps = cold = 0
+    iterates = []
 
     def fdf(c: float) -> tuple[float, float]:
-        nonlocal profile, solves, steps
+        nonlocal profile, solves, steps, cold
         guess = None if profile is None else replace(
             profile, phi=profile.phi + (c - profile.c) * profile.dphi_dc,
             psi=profile.psi + (c - profile.c) * profile.dpsi_dc)
         profile = solve_semiwave(c, nl, params, num, eq, c_star, guess)
         solves += 1
         steps += profile.newton_steps
+        cold += profile.cold
         f = mu1 * profile.slope0_phi + mu2 * profile.slope0_psi - c
+        iterates.append((c, f))
         if solves == 1 and f <= 0.0:
             raise NoSignChange(f"F(0)={f:.3e} not positive: slopes corrupt")
         df = (mu1 * _one_sided_slope(profile.dphi_dc, num.dx)
@@ -483,7 +492,8 @@ def find_c0(nl: Nonlinearity, params: ModelParams,
         raise SolverError(f"c0={c0} outside (0, c*)")
     return SpeedPair(c_star=c_star, c0=float(c0), lambda_star=lam_star,
                      F_residual=float(f_res), profile_solves=solves,
-                     newton_steps=steps), profile
+                     newton_steps=steps, cold_solves=cold,
+                     iterates=tuple(iterates)), profile
 
 
 # ---------------------------------------------------------------------------

@@ -93,6 +93,10 @@ class TestSpeedsCommand:
         assert 0.0 < payload["c0"] < payload["c_star"]
         assert payload["beta0"] == pytest.approx(math.sqrt(0.5), abs=1e-9)
         assert payload["profile_solves"] > 0 and payload["newton_steps"] > 0
+        # the first solve, at c = 0, is the search's only cold one
+        assert payload["cold_solves"] == 1
+        assert len(payload["iterates"]) == payload["profile_solves"]
+        assert payload["iterates"][0][0] == 0.0 and payload["iterates"][-1][0] == payload["c0"]
 
     def test_reruns_are_byte_identical(self, tmp_path, s1_speeds_cfg):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -119,12 +123,14 @@ class TestSpeedsCommand:
 
 def test_cli_import_loads_only_flapack_from_scipy():
     # a fresh interpreter: the test session itself imports scipy.linalg and
-    # scipy.optimize; the CLI needs scipy's LAPACK wrapper and no package init
+    # scipy.optimize; the CLI needs scipy's LAPACK wrapper and no package
+    # init, and only sweep --workers > 1 needs the process pool
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     code = ("import sys, frontwave.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith(('scipy', 'numpy.f2py'))))")
+            "print(sorted(m for m in sys.modules if m.startswith(('scipy', 'numpy.f2py', "
+            "'multiprocessing', 'concurrent.futures.process'))))")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
     assert proc.stdout.strip() == "['scipy.linalg._flapack']"
@@ -178,9 +184,11 @@ class TestSimulateCommand:
         assert set(run) == {"steps", "rejected", "euler_fallbacks", "dt_min", "dt_max"}
         assert run["steps"] > 0 and 0.0 < run["dt_min"] <= run["dt_max"]
         search = report["c0_search"]
-        assert set(search) == {"profile_solves", "newton_steps"}
+        assert set(search) == {"profile_solves", "newton_steps", "cold_solves", "iterates"}
         assert 1 <= search["profile_solves"] <= 7
         assert search["newton_steps"] >= search["profile_solves"]
+        assert search["cold_solves"] == 1
+        assert [len(it) for it in search["iterates"]] == [2] * search["profile_solves"]
 
     def test_report_without_c0_has_null_search(self, tmp_path, capsys):
         # mu1 = mu2 = 0: the front never moves and there is no c0 to find

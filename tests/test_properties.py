@@ -72,3 +72,13 @@ def test_c0_below_cstar_on_random_spreading_sets(**drawn):
                           0.0, bmax, **tight)
         beta, _ = decay_rate_theoretical(nl, params, c, eq)
         assert abs(beta / beta_ref - 1.0) <= 1e-13
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(**_spreading_sets)
+def test_tail_rate_truncation_on_random_spreading_sets(**drawn):
+    # the default x_max = 12/beta(c) against three times that length
+    params, nl = _model(**drawn)
+    pair, prof = find_c0(nl, params)
+    wide, _ = find_c0(nl, params, SemiwaveNumerics(x_max=3.0 * prof.x_max))
+    assert abs(pair.c0 / wide.c0 - 1.0) <= 2e-10

@@ -165,6 +165,24 @@ class TestSemiWaveProfile:
         assert np.all(np.diff(prof.phi) > 0)
         assert np.all(np.diff(prof.psi) > 0)
 
+    @pytest.mark.parametrize("frac", [0.6, 1.6])
+    def test_warm_start_across_grid_lengths(self, s1_nl, s1_neumann, s1_eq, frac):
+        # a converged profile at 0.9 c on a grid frac times as long: extended
+        # by (u*, v*) or cut and pinned again, it starts a warm solve at c
+        cold = solve_semiwave(0.4, s1_nl, s1_neumann, eq=s1_eq, cstar=2.0)
+        other = solve_semiwave(0.36, s1_nl, s1_neumann,
+                               SemiwaveNumerics(x_max=frac * cold.x_max), s1_eq, cstar=2.0)
+        warm = solve_semiwave(0.4, s1_nl, s1_neumann, eq=s1_eq, cstar=2.0,
+                              initial_guess=other)
+        stop = semiwave._STOP_ROUNDING * max(s1_eq.u_star, s1_eq.v_star) / 0.02 ** 2
+        assert cold.cold and not warm.cold
+        assert warm.newton_steps < cold.newton_steps
+        assert warm.x_max == cold.x_max and warm.residual_inf <= stop
+        assert np.max(np.abs(warm.phi - cold.phi)) <= 1e-12
+        assert np.max(np.abs(warm.psi - cold.psi)) <= 1e-12
+        assert abs(warm.slope0_phi - cold.slope0_phi) <= 1e-12
+        assert abs(warm.slope0_psi - cold.slope0_psi) <= 1e-12
+
     def test_doubling_truncation_barely_moves_slopes(self, s1_nl, s1_neumann, s1_eq, s1_c0):
         pair, prof = s1_c0
         beta, _ = decay_rate_theoretical(s1_nl, s1_neumann, pair.c0, s1_eq)
@@ -180,11 +198,15 @@ _SPEED_SETS = {
                   ModelParams(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, "neumann")),
     "asymmetric": (saturating(hp=3.0, gq=0.5),
                    ModelParams(1.0, 2.0, 1.0, 1.5, 0.7, 1.3, "neumann")),
-    # 12/beta > 40: the grid changes with c, so most solves are cold
+    # the longest grid of the O(1) sets: 12/beta(c) from 44 at c = 0 to 49 at c0
     "slow_tail": (saturating(hp=1.5, gp=0.35),
                   ModelParams(1.0, 3.0, 0.5, 0.5, 0.7, 1.3, "neumann")),
     "large_diffusion": (saturating(hp=2.0, gp=2.0),
                         ModelParams(200.0, 200.0, 1.0, 1.0, 1.0, 1.0, "neumann")),
+    "cholera": (cholera(c=1.5, gp=2.0, gq=0.5),
+                ModelParams(1.0, 2.0, 1.0, 1.5, 0.7, 1.3, "neumann")),
+    "large_mu": (saturating(2.0, 1.0, 2.0, 1.0),
+                 ModelParams(1.0, 1.0, 1.0, 1.0, 5000.0, 5000.0, "neumann")),
 }
 
 
@@ -211,6 +233,27 @@ class TestFreeBoundarySpeed:
         pair, _ = find_c0(s1_nl, s1_neumann)
         assert len(calls) <= 7
         assert pair.F_residual <= SemiwaveNumerics().f_tol
+
+    @pytest.mark.parametrize("case", sorted(_SPEED_SETS))
+    def test_truncation_at_tail_rate_barely_moves_c0(self, case):
+        # the default x_max is 12/beta(c); tripling it moves c0 by <= 4e-11
+        # relative, except on d = 200, whose grid has always been 12/beta:
+        # 2.6e-10 there, 1.8e-11 absolute against c_tol = 1e-9
+        nl, p = _SPEED_SETS[case]
+        pair, prof = find_c0(nl, p)
+        wide, _ = find_c0(nl, p, SemiwaveNumerics(x_max=3.0 * prof.x_max))
+        bound = 5e-10 if case == "large_diffusion" else 2e-10
+        assert abs(pair.c0 / wide.c0 - 1.0) <= bound
+
+    def test_slow_tail_search_is_warm_after_its_first_solve(self):
+        # x_max = 12/beta(c) grows with c; the warm start follows the grid
+        nl, p = _SPEED_SETS["slow_tail"]
+        pair, _ = find_c0(nl, p)
+        assert pair.cold_solves == 1
+        assert pair.newton_steps < 16  # 16 when each change of grid restarted cold
+        assert len(pair.iterates) == pair.profile_solves
+        assert pair.iterates[0][0] == 0.0 and pair.iterates[-1][0] == pair.c0
+        assert abs(pair.iterates[-1][1]) == pair.F_residual
 
     def test_solve_cap_raises_no_convergence(self, s1_nl, s1_neumann, monkeypatch):
         # the symmetric set needs 5 solves; the cap ends the search loudly,
