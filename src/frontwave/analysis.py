@@ -1,10 +1,12 @@
 """Post-processing: dichotomy classification and asymptotic-claim checks.
 
 Everything here consumes immutable traces, snapshots and profiles and is
-pure. The checks mirror the sharp front asymptotics: h(t) = c0 t + h* + o(1)
-(speed fit and trailing-window drift), convergence of (u, v) to the shifted
-profile (phi(h-x), psi(h-x)) near the front, exponential interior approach
-to the equilibrium on rays x in [c1 t, c2 t], the exponential upper envelope
+pure. The vanishing label is the solver's own stop rule, read back from the
+trace's ``stop_reason``; there is no second vanishing test here. The checks
+mirror the sharp front asymptotics: h(t) = c0 t + h* + o(1) (speed fit and
+trailing-window drift), convergence of (u, v) to the shifted profile
+(phi(h-x), psi(h-x)) near the front, exponential interior approach to the
+equilibrium on rays x in [c1 t, c2 t], the exponential upper envelope
 (u, v) <= (u* + M e^{-delta t}, v* + M e^{-delta t}), and the two
 comparison-function parameter systems (the front supersolution in
 (K, sigma, delta) and the mirrored lower-solution system in (epsilon,
@@ -27,14 +29,13 @@ from .errors import (
     WindowOutsideDomain,
     WindowTooShort,
 )
-from .fbsolver import VANISH_SUP, VANISH_SUSTAIN, RunTrace, Snapshot
-from .model import BoundaryKind, Equilibrium, ModelParams, Nonlinearity, compute_l0
+from .fbsolver import RunTrace, Snapshot
+from .model import BoundaryKind, Equilibrium, ModelParams, Nonlinearity
 from .semiwave import SemiWaveProfile, _log_linear_fit
 from ._format import json_dumps
 
 __all__ = [
     "Classification",
-    "AnalysisThresholds",
     "SpeedFit",
     "DriftFit",
     "InteriorFit",
@@ -65,72 +66,30 @@ class Classification(str, Enum):
     UNDECIDED = "Undecided"
 
 
-@dataclass(frozen=True)
-class AnalysisThresholds:
-    """Parameter-derived thresholds driving the dichotomy classification.
+def classify(trace: RunTrace, l0: float, eq: Equilibrium | None) -> Classification:
+    """Spreading / Vanishing / Undecided from a run's trace.
 
-    Below the spreading regime there is no equilibrium: l0 is infinite, so
-    the front goal is unreachable and u_star, v_star (None) are never read.
+    Vanishing is the run's own stop rule (``stop_reason == "vanishing"``,
+    fbsolver's sustained sup-norm test) with a stabilized front. Spreading
+    needs the front past max(2 l0, h0 + 5) with the interior near the
+    equilibrium at x = h/2 (taken from the last snapshot when one exists,
+    else from the sup series). Below the spreading regime l0 is infinite and
+    ``eq`` is None, so the front goal is never reached. A trace that shows
+    neither is Undecided.
     """
-
-    l0: float
-    u_star: float | None
-    v_star: float | None
-    h0: float
-    boundary: BoundaryKind
-
-    @classmethod
-    def from_model(cls, nl: Nonlinearity, params: ModelParams, eq: Equilibrium | None,
-                   h0: float) -> "AnalysisThresholds":
-        """``eq`` is None when R0 <= 1."""
-        if eq is None:
-            return cls(l0=math.inf, u_star=None, v_star=None, h0=h0,
-                       boundary=params.boundary)
-        return cls(l0=compute_l0(nl, params), u_star=eq.u_star, v_star=eq.v_star,
-                   h0=h0, boundary=params.boundary)
-
-    @property
-    def front_goal(self) -> float:
-        return max(2.0 * self.l0, self.h0 + 5.0)
-
-
-def classify(trace: RunTrace, thresholds: AnalysisThresholds) -> Classification:
-    """Spreading / Vanishing / Undecided from a sampled trace.
-
-    Vanishing needs the total sup-norm to stay under the threshold for the
-    sustain window *and* a stabilized front. Spreading needs the front past
-    max(2 l0, h0 + 5) with the interior near the equilibrium at x = h/2
-    (taken from the last snapshot when one exists, else from the sup series).
-    A trace too short to show either is Undecided.
-    """
-    th = thresholds
-    sup_total = trace.sup_u + trace.sup_v
-
-    t_first = None
-    sustained = False
-    for tk, sk in zip(trace.t, sup_total):
-        if sk < VANISH_SUP:
-            if t_first is None:
-                t_first = tk
-            elif tk - t_first >= VANISH_SUSTAIN:
-                sustained = True
-                break
-        else:
-            t_first = None
-    t_end = trace.t[-1]
-    h_mid = float(np.interp(0.5 * t_end, trace.t, trace.h))
-    if sustained and abs(trace.h[-1] - h_mid) < _H_STABLE_TOL:
+    h_mid = float(np.interp(0.5 * trace.t[-1], trace.t, trace.h))
+    if trace.stop_reason == "vanishing" and abs(trace.h[-1] - h_mid) < _H_STABLE_TOL:
         return Classification.VANISHING
 
-    if trace.h[-1] >= th.front_goal:
+    if trace.h[-1] >= max(2.0 * l0, trace.h0 + 5.0):
         if trace.snapshots:
             s = trace.snapshots[-1]
             i = int(np.argmin(np.abs(s.x - 0.5 * s.h)))
-            near = (abs(s.u[i] - th.u_star) <= _INTERIOR_TOL * th.u_star
-                    and abs(s.v[i] - th.v_star) <= _INTERIOR_TOL * th.v_star)
+            near = (abs(s.u[i] - eq.u_star) <= _INTERIOR_TOL * eq.u_star
+                    and abs(s.v[i] - eq.v_star) <= _INTERIOR_TOL * eq.v_star)
         else:
-            near = (trace.sup_u[-1] >= (1.0 - _INTERIOR_TOL) * th.u_star
-                    and trace.sup_v[-1] >= (1.0 - _INTERIOR_TOL) * th.v_star)
+            near = (trace.sup_u[-1] >= (1.0 - _INTERIOR_TOL) * eq.u_star
+                    and trace.sup_v[-1] >= (1.0 - _INTERIOR_TOL) * eq.v_star)
         if near:
             return Classification.SPREADING
     return Classification.UNDECIDED
@@ -452,23 +411,24 @@ class OutcomeReport:
         })
 
 
-def build_outcome_report(trace: RunTrace, thresholds: AnalysisThresholds,
+def build_outcome_report(trace: RunTrace, l0: float, boundary: BoundaryKind,
                          c0: float | None = None,
                          profile: SemiWaveProfile | None = None,
                          eq: Equilibrium | None = None,
                          c0_search: dict | None = None) -> OutcomeReport:
     """Assemble the outcome report; estimate fields stay None off-regime.
 
-    Speed and drift stay None when the trace is too short to fit them.
-    Front windows follow the boundary operator: the whole domain [0, h] for
-    Neumann, [c0 t / 2, h] for Dirichlet. The interior fit takes the rays
-    [c0 t / 4, c0 t / 2]. ``c0_search`` is passed through to the report.
+    ``l0`` and ``eq`` feed ``classify``. Speed and drift stay None when the
+    trace is too short to fit them. Front windows follow the boundary
+    operator: the whole domain [0, h] for Neumann, [c0 t / 2, h] for
+    Dirichlet. The interior fit takes the rays [c0 t / 4, c0 t / 2].
+    ``c0_search`` is passed through to the report.
     """
-    label = classify(trace, thresholds)
+    label = classify(trace, l0, eq)
     c_hat = stderr = h_star = drift_var = None
     errors: list = []
     interior = None
-    if label is Classification.SPREADING:
+    if label is Classification.SPREADING:  # so eq is not None
         try:
             fit = front_speed(trace)
             c_hat, stderr = fit.c_hat, fit.stderr
@@ -477,21 +437,19 @@ def build_outcome_report(trace: RunTrace, thresholds: AnalysisThresholds,
                 h_star, drift_var = drift.h_star_hat, drift.drift_variation
         except WindowTooShort:
             pass  # too few trailing samples: the estimates stay None
-    if label is Classification.SPREADING and c0 is not None:
-        if profile is not None:
+        if c0 is not None and profile is not None:
             for s in trace.snapshots:
-                x_lo = 0.0 if thresholds.boundary is BoundaryKind.NEUMANN \
-                    else 0.5 * c0 * s.t
+                x_lo = 0.0 if boundary is BoundaryKind.NEUMANN else 0.5 * c0 * s.t
                 if x_lo >= s.h:
                     continue
                 errors.append((s.t, profile_error(s, profile, (x_lo, s.h))))
-        if eq is not None and trace.snapshots:
+        if c0 is not None and trace.snapshots:
             try:
                 ifit = interior_convergence_fit(trace.snapshots, eq, 0.25 * c0, 0.5 * c0)
                 interior = {"M_hat": ifit.M_hat, "delta_hat": ifit.delta_hat,
                             "r2": ifit.r_squared}
             except (EmptyRayWindow, WindowTooShort):
-                interior = None
+                pass  # no usable ray window: the fit stays None
     return OutcomeReport(
         classification=label,
         c_hat=c_hat,

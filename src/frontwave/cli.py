@@ -3,13 +3,14 @@
 Exit codes: 0 success, 2 model-regime or configuration error, 3 solver
 failure, 4 I/O failure. All numeric output uses 17 significant digits;
 nothing in the package draws random numbers, so runs are bit-reproducible
-(--seedless records that assertion in the manifest).
+and every manifest records ``"seedless": true``. ``--workers`` is a sweep flag.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import os
 import sys
 
@@ -50,10 +51,10 @@ def _file_entry(outdir: str, name: str) -> dict:
     return {"name": name, "sha256": hashlib.sha256(blob).hexdigest(), "bytes": len(blob)}
 
 
-def _write_manifest(outdir: str, names: list, seedless: bool, failed: bool) -> None:
+def _write_manifest(outdir: str, names: list, failed: bool) -> None:
     manifest = {
         "failed": failed,
-        "seedless": seedless,
+        "seedless": True,
         "files": [_file_entry(outdir, n) for n in names],
     }
     _write_text(outdir, "manifest.json", json_dumps(manifest))
@@ -134,18 +135,18 @@ def _outcome(cfg: RunConfig, with_c0: bool) -> tuple:
     numerics = build_solver_numerics(cfg)
     stop = build_stop(cfg)
     sw_numerics = build_semiwave_numerics(cfg)
-    eq = None
+    eq, l0 = None, math.inf  # below the spreading regime the front goal is unreachable
     if model.compute_R0(nl, params) > 1.0:
         eq = model.compute_equilibrium(nl, params)
-    thresholds = analysis.AnalysisThresholds.from_model(nl, params, eq, init.h0)
+        l0 = model.compute_l0(nl, params)
     trace = fbsolver.simulate(params, nl, init, numerics, stop)
     c0 = profile = search = None
     if with_c0 and eq is not None and params.mu1 + params.mu2 > 0.0:
         pair, profile = semiwave.find_c0(nl, params, sw_numerics, eq)
         c0 = pair.c0
         search = _search(pair)
-    report = analysis.build_outcome_report(trace, thresholds, c0=c0, profile=profile, eq=eq,
-                                           c0_search=search)
+    report = analysis.build_outcome_report(trace, l0, params.boundary, c0=c0, profile=profile,
+                                           eq=eq, c0_search=search)
     return params, trace, report
 
 
@@ -236,9 +237,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to the run configuration")
         p.add_argument("--out", default=None, help="output directory (overrides output.dir)")
-        p.add_argument("--workers", type=int, default=1, help="sweep worker processes")
-        p.add_argument("--seedless", action="store_true",
-                       help="assert the run uses no RNG (always true; recorded in manifests)")
+        if func is cmd_sweep:
+            p.add_argument("--workers", type=int, default=1, help="worker processes")
         p.set_defaults(func=func)
     return parser
 
@@ -256,9 +256,9 @@ def _run(args) -> int:
         names = args.func(cfg, outdir, args)
     except SolverError as exc:
         _write_text(outdir, "FAILED", f"{type(exc).__name__}: {exc}\n")
-        _write_manifest(outdir, ["FAILED"], args.seedless, failed=True)
+        _write_manifest(outdir, ["FAILED"], failed=True)
         raise
-    _write_manifest(outdir, names, args.seedless, failed=False)
+    _write_manifest(outdir, names, failed=False)
     return EXIT_OK
 
 

@@ -9,10 +9,9 @@ unchanged. The full schema lives in docs/config.md.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
-
-import numpy as np
 
 from .fbsolver import SolverNumerics, StopRule
 from .model import BoundaryKind, InitialData, ModelParams, Nonlinearity, cholera, saturating
@@ -200,7 +199,7 @@ def build_stop(cfg: RunConfig) -> StopRule:
     budget = cfg.getfloat("stop.x_budget", 0.0)
     return StopRule(
         t_end=cfg.getfloat("stop.t_end", 10.0),
-        x_budget=budget if budget and budget > 0 else np.inf,
+        x_budget=budget or math.inf,
     )
 
 

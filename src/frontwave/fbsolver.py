@@ -73,7 +73,8 @@ __all__ = [
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
 # vanishing: total sup-norm u + v under VANISH_SUP for VANISH_SUSTAIN time
-# units; the stop rule here and analysis.classify share these values
+# units; this stop rule is the only vanishing test (analysis.classify reads
+# the stop_reason it leaves)
 VANISH_SUP = 1e-6
 VANISH_SUSTAIN = 1.0
 
@@ -96,11 +97,13 @@ class SolverNumerics:
 
     def __post_init__(self):
         # written as not (...) so that NaN fails too; a zero step or cadence
-        # would never advance the clock or the next trace sample
+        # would never advance the clock or the next trace sample, and a NaN
+        # snapshot time would block every later one
         if not (self.n >= 2 and 0 < self.trace_cadence < math.inf
-                and (self.fixed_dt is None or 0 < self.fixed_dt < math.inf)):
-            raise ValueError("solver numerics need n >= 2 and positive finite "
-                             "fixed_dt and trace cadence")
+                and (self.fixed_dt is None or 0 < self.fixed_dt < math.inf)
+                and all(0 <= ts < math.inf for ts in self.snapshot_times)):
+            raise ValueError("solver numerics need n >= 2, positive finite "
+                             "fixed_dt and trace cadence, and finite snapshot times >= 0")
 
 
 @dataclass(frozen=True)
@@ -111,6 +114,8 @@ class StopRule:
     def __post_init__(self):
         if not 0 < self.t_end < math.inf:
             raise ValueError("t_end must be positive and finite")
+        if not self.x_budget > 0:
+            raise ValueError("x_budget must be positive (inf for no budget)")
 
 
 @dataclass(frozen=True)
@@ -408,7 +413,8 @@ def simulate(params: ModelParams, nl: Nonlinearity, init: InitialData,
         if sup_total < VANISH_SUP:
             if vanish_t0 is None:
                 vanish_t0 = t
-            # one extra cadence so the *sampled* stretch also spans the window
+            # one extra cadence so the trace rows recorded inside the stretch
+            # alone span a full VANISH_SUSTAIN window under VANISH_SUP
             elif t - vanish_t0 >= VANISH_SUSTAIN + cadence:
                 stop_reason = "vanishing"
         else:

@@ -178,8 +178,7 @@ def test_criterion_07_dichotomy_and_sharp_criterion(run_vanishing, s1_nl, s1_dir
                                                     s1_eq, tmp_path):
     l0_d = model.compute_l0(s1_nl, s1_dirichlet)
     sup_final = run_vanishing.sup_u[-1] + run_vanishing.sup_v[-1]
-    th = analysis.AnalysisThresholds.from_model(s1_nl, s1_dirichlet, s1_eq, 0.2)
-    label = analysis.classify(run_vanishing, th)
+    label = analysis.classify(run_vanishing, l0_d, s1_eq)
     ok_vanish = (label is analysis.Classification.VANISHING
                  and sup_final < 1e-4 and run_vanishing.h[-1] < l0_d)
 

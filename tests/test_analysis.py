@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from frontwave.analysis import (
-    AnalysisThresholds,
     Classification,
     build_outcome_report,
     classify,
@@ -26,21 +25,28 @@ from frontwave.errors import (
     WindowTooShort,
 )
 from frontwave.fbsolver import RunTrace, Snapshot, SolverNumerics, StopRule, simulate
-from frontwave.model import Equilibrium, InitialData, ModelParams, Nonlinearity
+from frontwave.model import (
+    BoundaryKind,
+    Equilibrium,
+    InitialData,
+    ModelParams,
+    Nonlinearity,
+    compute_l0,
+)
 
 
-def mk_trace(t, h, sup, snapshots=(), h0=None):
+def mk_trace(t, h, sup, snapshots=(), h0=None, stop_reason="t_end"):
     t = np.asarray(t, float)
     h = np.asarray(h, float)
     sup = np.asarray(sup, float)
     return RunTrace(t=t, h=h, hprime=np.gradient(h, t), sup_u=sup / 2, sup_v=sup / 2,
-                    mass=h * sup, snapshots=list(snapshots), stop_reason="t_end",
+                    mass=h * sup, snapshots=list(snapshots), stop_reason=stop_reason,
                     h0=float(h0 if h0 is not None else h[0]))
 
 
-def neumann_thresholds(**kw):
-    return AnalysisThresholds(l0=math.pi / 2, u_star=1.0, v_star=1.0, h0=2.0,
-                              boundary="neumann", **kw)
+def neumann_thresholds():
+    """(l0, eq) of a Neumann set with unit equilibrium."""
+    return math.pi / 2, Equilibrium(u_star=1.0, v_star=1.0, Hp_vstar=1.0, Gp_ustar=1.0)
 
 
 def spreading_trace(n=601, t_end=60.0):
@@ -57,25 +63,26 @@ def vanishing_trace(n=401, t_end=20.0):
     t = np.linspace(0.0, t_end, n)
     sup = 0.02 * np.exp(-2.0 * t)
     h = np.full_like(t, 0.5)
-    return mk_trace(t, h, sup)
+    # a simulate run of this decay would have stopped on its vanishing rule
+    return mk_trace(t, h, sup, stop_reason="vanishing")
 
 
 class TestClassify:
     def test_spreading(self):
-        assert classify(spreading_trace(), neumann_thresholds()) is Classification.SPREADING
+        assert classify(spreading_trace(), *neumann_thresholds()) is Classification.SPREADING
 
     def test_vanishing(self):
-        assert classify(vanishing_trace(), neumann_thresholds()) is Classification.VANISHING
+        assert classify(vanishing_trace(), *neumann_thresholds()) is Classification.VANISHING
 
     def test_undecided(self):
         t = np.linspace(0.0, 20.0, 201)
         trace = mk_trace(t, 2.0 + 0.1 * t, np.full_like(t, 0.5))
-        assert classify(trace, neumann_thresholds()) is Classification.UNDECIDED
+        assert classify(trace, *neumann_thresholds()) is Classification.UNDECIDED
 
     def test_short_trace_precondition(self):
         # too short to show either outcome: Undecided, whatever the sample count
         t = np.linspace(0.0, 5.0, 10)
-        label = classify(mk_trace(t, 2 + t, 1 + 0 * t), neumann_thresholds())
+        label = classify(mk_trace(t, 2 + t, 1 + 0 * t), *neumann_thresholds())
         assert label is Classification.UNDECIDED
 
     @pytest.mark.parametrize("factory", [spreading_trace, vanishing_trace])
@@ -86,7 +93,7 @@ class TestClassify:
                        mass=trace.mass[::2], snapshots=trace.snapshots,
                        stop_reason=trace.stop_reason, h0=trace.h0)
         th = neumann_thresholds()
-        assert classify(sub, th) is classify(trace, th)
+        assert classify(sub, *th) is classify(trace, *th)
 
 
 class TestFrontSpeed:
@@ -230,8 +237,9 @@ class TestOutcomeReport:
         init = InitialData.cosine_bump(2.0, 0.5, 201)
         num = SolverNumerics(n=100, trace_cadence=0.1, snapshot_times=(10.0, 20.0))
         trace = simulate(s1_neumann, s1_nl, init, num, StopRule(t_end=20.0))
-        th = AnalysisThresholds.from_model(s1_nl, s1_neumann, s1_eq, 2.0)
-        report = build_outcome_report(trace, th, c0=pair.c0, profile=prof, eq=s1_eq)
+        l0 = compute_l0(s1_nl, s1_neumann)
+        report = build_outcome_report(trace, l0, s1_neumann.boundary, c0=pair.c0, profile=prof,
+                                      eq=s1_eq)
         assert report.classification is Classification.SPREADING
         payload = json.loads(report.to_json())
         assert set(payload) == {"classification", "c_hat", "c_hat_stderr", "h_star_hat",
@@ -246,12 +254,14 @@ class TestOutcomeReport:
     def test_short_spreading_trace_leaves_fits_empty(self):
         # 6 samples in the trailing half: front_speed cannot fit, the report stays
         trace = spreading_trace(n=12)
-        report = build_outcome_report(trace, neumann_thresholds(), c0=0.5)
+        l0, eq = neumann_thresholds()
+        report = build_outcome_report(trace, l0, BoundaryKind.NEUMANN, c0=0.5, eq=eq)
         assert report.classification is Classification.SPREADING
         assert report.c_hat is None and report.h_star_hat is None
 
     def test_vanishing_report_is_sparse(self):
-        report = build_outcome_report(vanishing_trace(), neumann_thresholds())
+        l0, eq = neumann_thresholds()
+        report = build_outcome_report(vanishing_trace(), l0, BoundaryKind.NEUMANN, eq=eq)
         payload = json.loads(report.to_json())
         assert payload["classification"] == "Vanishing"
         assert payload["c_hat"] is None

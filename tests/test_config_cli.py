@@ -166,7 +166,7 @@ class TestSimulateCommand:
     def test_spreading_run_outputs(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "sim.cfg", SIM_NEUMANN)
         out = tmp_path / "out"
-        assert main(["simulate", "--config", cfg, "--out", str(out), "--seedless"]) == 0
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["failed"] is False
         assert manifest["seedless"] is True
@@ -219,6 +219,10 @@ class TestSimulateCommand:
         ("model.d1", "nan"),
         ("model.mu1", "inf"),
         ("nonlinearity.hp", "nan"),
+        ("output.snapshots", "2,nan,4"),  # the NaN would block the t = 4 snapshot
+        ("output.snapshots", "-1,4"),     # would be written as a t = 0 snapshot
+        ("stop.x_budget", "nan"),         # would run with no budget
+        ("stop.x_budget", "-3"),
     ])
     def test_bad_value_rejected_before_run(self, tmp_path, key, value):
         # replaced in the text, so a removed key reaches the CLI too
@@ -255,6 +259,13 @@ class TestSimulateCommand:
         blocker = tmp_path / "blocked"
         blocker.write_text("not a directory")
         assert main(["simulate", "--config", cfg, "--out", str(blocker)]) == 4
+
+    def test_workers_is_a_sweep_flag_only(self, tmp_path):
+        cfg = write_cfg(tmp_path / "sim.cfg", SIM_NEUMANN)
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", cfg, "--out", str(tmp_path / "out"), "--workers", "2"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()
 
 
 SWEEP_SMALL = S1_BASE + """\

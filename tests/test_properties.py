@@ -6,8 +6,9 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
+from frontwave.analysis import Classification, classify
 from frontwave.fbsolver import SolverNumerics, StopRule, simulate
-from frontwave.model import InitialData, ModelParams, compute_equilibrium, saturating
+from frontwave.model import InitialData, ModelParams, compute_equilibrium, compute_l0, saturating
 from frontwave.semiwave import (
     SemiwaveNumerics,
     decay_rate_theoretical,
@@ -41,6 +42,20 @@ def test_invariants_on_random_spreading_sets(**drawn):
     assert np.all(np.diff(trace.h) >= 0.0) and np.all(trace.hprime >= 0.0)
     ref = simulate(params, nl, init, SolverNumerics(n=50, fixed_dt=1e-3, trace_cadence=1.0), stop)
     assert abs(trace.h[-1] / ref.h[-1] - 1.0) <= 2e-3
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(**_spreading_sets)
+def test_small_start_vanishes_on_random_spreading_sets(**drawn):
+    # the vanishing side of the dichotomy: half the threshold length, a small bump
+    params, nl = _model(**drawn)
+    l0 = compute_l0(nl, params)
+    shape = InitialData.sine if drawn["dirichlet"] else InitialData.cosine_bump
+    init = shape(0.5 * l0, 0.05, 201)
+    trace = simulate(params, nl, init, SolverNumerics(n=50), StopRule(t_end=60.0))
+    assert trace.stop_reason == "vanishing"
+    assert classify(trace, l0, compute_equilibrium(nl, params)) is Classification.VANISHING
+    assert trace.h[-1] < l0
 
 
 @settings(max_examples=15, deadline=None, derandomize=True)
