@@ -15,10 +15,21 @@ def fmt(x) -> str:
 
 
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write rows under header; numeric values as fmt() writes them.
+
+    A row of numbers only is formatted by one %-operation: "%.17g" gives
+    the bytes fmt() gives for every float, nan and infinities included.
+    Rows are fastest as Python floats (``ndarray.tolist()``).
+    """
+    line = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(v if isinstance(v, str) else fmt(v) for v in row) + "\n")
+            try:
+                text = line % tuple(row)
+            except TypeError:  # strings in the row, or a length other than the header's
+                text = ",".join(v if isinstance(v, str) else fmt(v) for v in row) + "\n"
+            fh.write(text)
 
 
 def _emit(obj, indent: int) -> str:

@@ -27,12 +27,17 @@ smaller of twice the previous step (variable-step BDF2 is zero-stable for
 ratios below 1 + sqrt 2) and the error controller's choice, which rejects
 and retries any step whose local-error estimate (_Stepper.local_error)
 exceeds _LTE_TOL; below dt = 1e-12 max(1, t) the run raises
-StepSizeCollapse. No advective CFL bound is imposed: with diffusion
-implicit, the stability limit of the explicit central advection scales
-like d / h'^2 and does not shrink with the grid. Every output interval
-(trace cadence, snapshot times, t_end) is split into equal steps that land
-exactly on its end, so no step is longer than the trace cadence. fixed_dt
-replaces the controller, for convergence studies.
+StepSizeCollapse. The estimate is the new level minus the quadratic
+extrapolation through the last three accepted levels, a predictor of the
+corrector's order as in BDF codes (Shampine & Reichelt 1997), so it is
+O(dt^3) and the controller scales dt by 0.9 (tol/err)^(1/3). The first
+SBDF2 step has two levels only: it compares with the linear extrapolation,
+O(dt^2), and takes the square root. No advective CFL bound is imposed:
+with diffusion implicit, the stability limit of the explicit central
+advection scales like d / h'^2 and does not shrink with the grid. Every
+output interval (trace cadence, snapshot times, t_end) is split into equal
+steps that land exactly on its end, so no step is longer than the trace
+cadence. fixed_dt replaces the controller, for convergence studies.
 
 The solve does not check its input for NaN or infinity. The step's guards
 are the only finiteness check: the minimum over the state catches
@@ -135,6 +140,7 @@ class RunStats:
     euler_fallbacks: int = 0   # accepted steps that IMEX Euler redid for SBDF2
     dt_min: float = math.inf
     dt_max: float = 0.0
+    dt_mean: float = 0.0       # elapsed model time / accepted steps, set when the run ends
 
     def record(self, dt: float) -> None:
         self.steps += 1
@@ -156,13 +162,14 @@ class RunTrace:
     stats: RunStats = field(default_factory=RunStats)
 
     def to_csv(self, path) -> None:
+        cols = (self.t, self.h, self.hprime, self.sup_u, self.sup_v, self.mass)
         write_csv(path, ("t", "h", "hprime", "sup_u", "sup_v", "mass"),
-                  zip(self.t, self.h, self.hprime, self.sup_u, self.sup_v, self.mass))
+                  zip(*(c.tolist() for c in cols)))
 
     def snapshots_to_csv(self, path) -> None:
         def rows():
             for s in self.snapshots:
-                for x, u, v in zip(s.x, s.u, s.v):
+                for x, u, v in zip(s.x.tolist(), s.u.tolist(), s.v.tolist()):
                     yield (s.t, x, u, v)
         write_csv(path, ("t", "x", "u", "v"), rows())
 
@@ -281,21 +288,35 @@ class _Stepper:
         w_new = self._diffuse(w + (c1 * dw + dt * (c2 * f - omega * f_o)) / g, h_new, dt / g)
         return w_new, h_new, self._guard(w_new, h_new)
 
-    def local_error(self, new: tuple, w: np.ndarray, h: float, hist: tuple, dt: float,
-                    omega: float, floor: float) -> float:
+    def local_error(self, new: tuple, w: np.ndarray, h: float, hist: tuple, prev: tuple | None,
+                    dt: float, omega: float, floor: float) -> float:
         """Relative local-error estimate of the step from (w, h) to ``new``.
 
-        The estimate is the new level minus the linear extrapolation of the
-        last two; on the fields it is filtered through (I - (dt/g) D)^-1,
+        The estimate is the new level minus the quadratic extrapolation
+        through the last three accepted levels, an O(dt^3) quantity like
+        SBDF2's local error, which it overestimates (no error constant is
+        applied); the controller takes its cube root. ``prev`` holds the
+        increments (w - w_prev, h - h_prev) over the step before ``hist``'s
+        and that step's length. The first SBDF2 step has no such step
+        (``prev`` is None) and uses the linear extrapolation of the last two
+        levels, an O(dt^2) quantity whose square root the controller takes.
+        On the fields the difference is filtered through (I - (dt/g) D)^-1,
         which damps the stiff diffusive modes that SBDF2 already resolves.
         It is measured relative to h and to max(sup u, sup v, floor).
         """
         w_new, h_new = new[:2]
         dw, dh = hist[:2]
+        ew = w_new - w - omega * dw
+        eh = h_new - h - omega * dh
+        if prev is not None:
+            dw_o, dh_o, k0 = prev
+            k1 = dt / omega
+            q = dt * (dt + k1) / (k0 + k1)
+            ew -= q * (dw / k1 - dw_o / k0)
+            eh -= q * (dh / k1 - dh_o / k0)
         g = (1.0 + 2.0 * omega) / (1.0 + omega)
-        e = self._diffuse(w_new - w - omega * dw, h_new, dt / g)
-        return max(abs(h_new - h - omega * dh) / h_new,
-                   np.abs(e).max() / max(w_new.max(), floor))
+        e = self._diffuse(ew, h_new, dt / g)
+        return max(abs(eh) / h_new, np.abs(e).max() / max(w_new.max(), floor))
 
 
 def _time_floor(t: float) -> float:
@@ -353,6 +374,7 @@ def simulate(params: ModelParams, nl: Nonlinearity, init: InitialData,
     k_record = 1  # the next trace row is due at k_record * trace_cadence
     cadence = num.trace_cadence
     hist = None  # increments over the last step and the rates at its start
+    prev = None  # increments over the step before that, and its length
     dt_prev = dt_next = num.fixed_dt or _DT_FIRST
     stats = RunStats()
     vanish_t0 = None
@@ -383,8 +405,9 @@ def simulate(params: ModelParams, nl: Nonlinearity, init: InitialData,
                 new = (w_new, h_new, sup)
             if num.fixed_dt is not None or hist is None:
                 break
-            err = stepper.local_error(new, w, h, hist, dt, omega, err_floor)
-            factor = 0.9 * math.sqrt(_LTE_TOL / err) if err else math.inf
+            err = stepper.local_error(new, w, h, hist, prev, dt, omega, err_floor)
+            expo = 0.5 if prev is None else 1.0 / 3.0  # err is O(dt^2), then O(dt^3)
+            factor = 0.9 * (_LTE_TOL / err) ** expo if err else math.inf
             if err <= _LTE_TOL:
                 dt_next = dt * factor
                 break
@@ -392,6 +415,8 @@ def simulate(params: ModelParams, nl: Nonlinearity, init: InitialData,
             dt_next = dt * max(0.2, factor)
 
         w_new, h_new, sup_total = new
+        if hist is not None:
+            prev = (hist[0], hist[1], dt_prev)
         hist = (w_new - w, h_new - h, rates)
         w, h = w_new, h_new
         t = target if k == 1 else t + dt
@@ -429,6 +454,7 @@ def simulate(params: ModelParams, nl: Nonlinearity, init: InitialData,
                 rows.append(row())
             break
 
+    stats.dt_mean = t / stats.steps
     cols = list(zip(*rows))
     return RunTrace(
         t=np.asarray(cols[0]), h=np.asarray(cols[1]), hprime=np.asarray(cols[2]),

@@ -133,7 +133,8 @@ class SemiWaveProfile:
     dpsi_dc: np.ndarray | None = None
 
     def to_csv(self, path) -> None:
-        write_csv(path, ("x", "phi", "psi"), zip(self.x_nodes, self.phi, self.psi))
+        write_csv(path, ("x", "phi", "psi"),
+                  zip(self.x_nodes.tolist(), self.phi.tolist(), self.psi.tolist()))
 
 
 @dataclass(frozen=True)

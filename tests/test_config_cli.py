@@ -181,8 +181,9 @@ class TestSimulateCommand:
         assert report["classification"] == "Spreading"
         assert report["c_hat"] > 0.0
         run = report["run"]
-        assert set(run) == {"steps", "rejected", "euler_fallbacks", "dt_min", "dt_max"}
-        assert run["steps"] > 0 and 0.0 < run["dt_min"] <= run["dt_max"]
+        assert set(run) == {"steps", "rejected", "euler_fallbacks", "dt_min", "dt_max", "dt_mean"}
+        assert run["steps"] > 0 and 0.0 < run["dt_min"] <= run["dt_mean"] <= run["dt_max"]
+        assert run["dt_mean"] * run["steps"] == pytest.approx(24.0, rel=1e-12)  # stop.t_end
         search = report["c0_search"]
         assert set(search) == {"profile_solves", "newton_steps", "cold_solves", "iterates"}
         assert 1 <= search["profile_solves"] <= 7

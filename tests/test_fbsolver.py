@@ -5,6 +5,7 @@ import pytest
 from scipy.linalg import solve_banded
 
 from frontwave import fbsolver
+from frontwave._format import fmt, write_csv
 from frontwave.errors import NegativeSpeed, NonFinite, StabilityViolation, StepSizeCollapse
 from frontwave.fbsolver import SolverNumerics, StopRule, _flux, _Stepper, simulate
 from frontwave.model import InitialData, ModelParams, Nonlinearity, saturating
@@ -80,6 +81,26 @@ class TestStep:
         assert abs(rate - math.pi ** 2) / math.pi ** 2 <= 0.01
         assert trace.h[-1] == 1.0  # mu = 0 freezes the front
 
+    def test_local_error_third_order(self):
+        # frozen front, Dirichlet, the discrete sine mode: its exact decay gives
+        # three accepted levels (unequal steps 0.8 k, 1.3 k) with no error of
+        # their own, so the estimate after an SBDF2 step of k is O(k^3)
+        p = ModelParams(1.0, 0.5, 1e-12, 1e-12, 0.0, 0.0, "dirichlet")
+        n, h = 50, 1.0
+        stepper = _Stepper(p, zero_pair(), n)
+        rate = (-4.0 * np.array([[p.d1], [p.d2]]) * (n * math.sin(0.5 * math.pi / n) / h) ** 2
+                - np.array([[p.a], [p.b]]))
+        mode = np.sin(math.pi * stepper.xi)
+        mode[-1] = 0.0
+        err = []
+        for k in (0.02, 0.01, 0.005):
+            k0, k1 = 0.8 * k, 1.3 * k
+            w0, w1, w2 = (np.exp(rate * t) * mode for t in (0.0, k0, k0 + k1))
+            hist = (w2 - w1, 0.0, stepper.rates(w1, h))
+            new = stepper.sbdf2(w2, h, stepper.rates(w2, h), hist, k, k / k1)
+            err.append(stepper.local_error(new, w2, h, hist, (w1 - w0, 0.0, k0), k, k / k1, 1e-2))
+        for coarse, fine in zip(err, err[1:]):
+            assert 2.6 <= math.log2(coarse / fine) <= 3.4
 
     @pytest.mark.parametrize("field", [0, 1])
     @pytest.mark.parametrize("value, error", [
@@ -244,9 +265,18 @@ class TestSimulate:
         trace = simulate(s1_neumann, s1_nl, InitialData.cosine_bump(2.0, 0.5, 401), num,
                          StopRule(t_end=60.0))
         stats = trace.stats
-        assert stats.steps <= 900
+        assert stats.steps <= 720
         assert 0 <= stats.rejected <= stats.steps and stats.euler_fallbacks == 0
         assert 0.0 < stats.dt_min < stats.dt_max <= num.trace_cadence
+
+    def test_vanishing_sweep_cell_step_count(self, s1_nl, s1_dirichlet):
+        # the benchmark sweep's smallest cell: a linear-predictor error
+        # estimate held dt near 1e-3 while sup(u + v) decayed (806 steps)
+        num = SolverNumerics(n=200, trace_cadence=0.1)
+        trace = simulate(s1_dirichlet, s1_nl, InitialData.sine(1.02, 0.2, 401), num,
+                         StopRule(t_end=25.0))
+        assert trace.stop_reason == "vanishing"
+        assert trace.stats.steps <= 350
 
     def test_vanishing_with_euler_fallback(self, s1_nl, s1_dirichlet):
         # criterion 7's vanishing config at a step as long as the cadence:
@@ -308,3 +338,18 @@ class TestTraceExport:
         slines = spath.read_text().splitlines()
         assert slines[0] == "t,x,u,v"
         assert len(slines) == 1 + sum(s.x.size for s in trace.snapshots)
+
+    def test_numeric_rows_written_as_fmt(self, tmp_path):
+        # rows of numbers take one %-operation; fmt() value by value is the reference
+        edge = [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e-310,
+                2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308,
+                0.1, 3, True, np.float64(2.5), np.float32(0.1)]
+        bits = np.random.default_rng(5).integers(0, 2 ** 64, 100_000, dtype=np.uint64)
+        values = edge + bits.view(np.float64).tolist()
+        rows = [tuple(values[i:i + 4]) for i in range(0, len(values), 4)]
+        rows.append(("cell", 0.1, "", math.nan))  # strings take the value-by-value path
+        path = tmp_path / "rows.csv"
+        write_csv(path, ("a", "b", "c", "d"), rows)
+        want = ["a,b,c,d"] + [",".join(v if isinstance(v, str) else fmt(v) for v in row)
+                              for row in rows]
+        assert path.read_text().splitlines() == want
