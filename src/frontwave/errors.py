@@ -18,14 +18,6 @@ class ModelRegimeError(FrontwaveError):
     """The model parameters put the request outside its regime of validity."""
 
 
-class NonCompliant(ModelRegimeError):
-    """A structural hypothesis on (H, G) failed on the sampled grid."""
-
-    def __init__(self, clause: str):
-        self.clause = clause
-        super().__init__(f"hypothesis clause failed: {clause}")
-
-
 class NoPositiveRoot(ModelRegimeError):
     """No positive equilibrium exists (reproduction number at or below 1)."""
 

@@ -19,25 +19,28 @@ directly on band buffers the stepper allocates once. Neumann at xi = 0
 enters by ghost-node reflection.
 
 Steps are variable-step IMEX SBDF2 (Ascher, Ruuth & Wetton 1995) for u, v
-and h, written in increment form (_Stepper.sbdf2). IMEX Euler
-(_Stepper.advance) takes the first step, which has no history, and redoes
-any SBDF2 step that fails the guards below: BDF2 is not positivity
-preserving once its roots turn complex (lambda dt > 1/2). dt is the
-smaller of twice the previous step (variable-step BDF2 is zero-stable for
-ratios below 1 + sqrt 2) and the error controller's choice, which rejects
-and retries any step whose local-error estimate (_Stepper.local_error)
-exceeds _LTE_TOL; below dt = 1e-12 max(1, t) the run raises
-StepSizeCollapse. The estimate is the new level minus the quadratic
-extrapolation through the last three accepted levels, a predictor of the
-corrector's order as in BDF codes (Shampine & Reichelt 1997), so it is
-O(dt^3) and the controller scales dt by 0.9 (tol/err)^(1/3). The first
-SBDF2 step has two levels only: it compares with the linear extrapolation,
-O(dt^2), and takes the square root. No advective CFL bound is imposed:
-with diffusion implicit, the stability limit of the explicit central
-advection scales like d / h'^2 and does not shrink with the grid. Every
-output interval (trace cadence, snapshot times, t_end) is split into equal
-steps that land exactly on its end, so no step is longer than the trace
-cadence. fixed_dt replaces the controller, for convergence studies.
+and h, written in increment form (_Stepper.sbdf2); at omega = 0 with a zero
+history it is IMEX Euler, which takes the first step. dt is the smaller of
+twice the previous step (variable-step BDF2 is zero-stable for ratios below
+1 + sqrt 2) and the error controller's choice. The controller rejects and
+retries smaller a step whose local-error estimate (_Stepper.local_error)
+exceeds _LTE_TOL, and a step that fails a check: the guards below, or a
+negative front speed at the new state (BDF2 is not positivity preserving
+once its roots turn complex, lambda dt > 1/2). The run raises
+StepSizeCollapse below dt = 1e-12 max(1, t), or once more than
+_MAX_REJECTED steps are rejected within one output interval. The estimate
+is the new level minus the quadratic extrapolation through the last three
+accepted levels, a predictor of the corrector's order as in BDF codes
+(Shampine & Reichelt 1997), so it is O(dt^3) and the controller scales dt
+by 0.9 (tol/err)^(1/3). The first SBDF2 step has two levels only: it
+compares with the linear extrapolation, O(dt^2), and takes the square
+root. No advective CFL bound is imposed: with diffusion implicit, the
+stability limit of the explicit central advection scales like d / h'^2
+and does not shrink with the grid. Every output interval (trace cadence,
+snapshot times, t_end) is split into equal steps that land exactly on its
+end, so no step is longer than the trace cadence. fixed_dt replaces the
+controller, for convergence studies: IMEX Euler redoes an SBDF2 step that
+fails a check there, and its own failure raises.
 
 The solve does not check its input for NaN or infinity. The step's guards
 are the only finiteness check: the minimum over the state catches
@@ -89,8 +92,12 @@ VANISH_SUSTAIN = 1.0
 _LTE_TOL = 1e-4
 _ERR_FLOOR = 1e-2
 # first step of an error-controlled run, taken by IMEX Euler without an
-# error estimate; dt at most doubles per step from there
+# error estimate (only a failed check rejects it); dt at most doubles per
+# step from there
 _DT_FIRST = 1e-4
+# rejections allowed within one output interval before StepSizeCollapse:
+# a config whose steps keep failing cannot run for minutes above the dt floor
+_MAX_REJECTED = 1000
 
 
 @dataclass(frozen=True)
@@ -136,8 +143,8 @@ class Snapshot:
 class RunStats:
     """Step counts and the range of accepted steps; deterministic per config."""
     steps: int = 0             # accepted steps
-    rejected: int = 0          # steps redone smaller by the error controller
-    euler_fallbacks: int = 0   # accepted steps that IMEX Euler redid for SBDF2
+    rejected: int = 0          # steps redone smaller: error over tolerance or a failed check
+    euler_fallbacks: int = 0   # fixed_dt steps that IMEX Euler redid for SBDF2
     dt_min: float = math.inf
     dt_max: float = 0.0
     dt_mean: float = 0.0       # elapsed model time / accepted steps, set when the run ends
@@ -259,25 +266,16 @@ class _Stepper:
             raise NonFinite("state lost finiteness")
         return sup
 
-    def advance(self, w: np.ndarray, h: float, dt: float):
-        """One IMEX Euler step from (w, h); returns the new (w, h, h', max(u + v)).
-
-        h' is the front speed at the old state, which the step used. Raises
-        as _guard does.
-        """
-        hp, f = self.rates(w, h)
-        h_new = h + dt * hp
-        w_new = self._diffuse(w + dt * f, h_new, dt)
-        return w_new, h_new, hp, self._guard(w_new, h_new)
-
     def sbdf2(self, w: np.ndarray, h: float, rates: tuple, hist: tuple, dt: float,
               omega: float):
         """One variable-step IMEX SBDF2 step; returns the new (w, h, max(u + v)).
 
         ``rates`` are the explicit rates at (w, h); ``hist`` holds the
         increments (w - w_prev, h - h_prev) over the previous step and the
-        rates at its start; omega = dt / dt_prev. Written in increment form,
-        so a frozen front and zero data stay bit-exact. Raises as _guard does.
+        rates at its start; omega = dt / dt_prev. At omega = 0 with a zero
+        history, (zeros, 0.0, (0.0, zeros)), the coefficients are c1 = 0 and
+        c2 = g = 1: the step is IMEX Euler. Written in increment form, so a
+        frozen front and zero data stay bit-exact. Raises as _guard does.
         """
         hp, f = rates
         dw, dh, (hp_o, f_o) = hist
@@ -373,17 +371,19 @@ def simulate(params: ModelParams, nl: Nonlinearity, init: InitialData,
     take_snapshots()
     k_record = 1  # the next trace row is due at k_record * trace_cadence
     cadence = num.trace_cadence
-    hist = None  # increments over the last step and the rates at its start
+    euler = (np.zeros_like(w), 0.0, (0.0, np.zeros_like(w)))  # SBDF2 at omega = 0: IMEX Euler
+    hist = euler  # increments over the last step and the rates at its start
     prev = None  # increments over the step before that, and its length
     dt_prev = dt_next = num.fixed_dt or _DT_FIRST
     stats = RunStats()
+    rejected_mark = 0  # stats.rejected when the last output interval ended
     vanish_t0 = None
     stop_reason = ""
 
     while True:
         target = min(k_record * cadence, stop.t_end,
                      snap_times[snap_idx] if snap_idx < len(snap_times) else math.inf)
-        while True:  # attempts at one step; the error controller may reject some
+        while True:  # attempts at one step; the controller may reject some
             dt = min(dt_next, 2.0 * dt_prev)  # omega <= 2 keeps variable-step SBDF2 zero-stable
             if not dt >= _time_floor(t):
                 raise StepSizeCollapse(f"dt = {dt:.3e} at t = {t:.9g}")
@@ -392,39 +392,44 @@ def simulate(params: ModelParams, nl: Nonlinearity, init: InitialData,
             # which the clamp drops from the step (t still lands on target)
             k = max(1, math.ceil((target - t) / dt - 1e-6))
             dt = min((target - t) / k, cadence)
-            omega = dt / dt_prev
-            new = None
-            if hist is not None:
-                try:
-                    new = stepper.sbdf2(w, h, rates, hist, dt, omega)
-                except (StabilityViolation, NonFinite):
-                    pass  # redone below by IMEX Euler, whose guards raise
-            fell_back = new is None and hist is not None
-            if new is None:
-                w_new, h_new, _, sup = stepper.advance(w, h, dt)
-                new = (w_new, h_new, sup)
-            if num.fixed_dt is not None or hist is None:
-                break
-            err = stepper.local_error(new, w, h, hist, prev, dt, omega, err_floor)
+            omega = 0.0 if hist is euler else dt / dt_prev
+            try:
+                new = stepper.sbdf2(w, h, rates, hist, dt, omega)
+                new_rates = stepper.rates(*new[:2])
+            except (StabilityViolation, NonFinite, NegativeSpeed):
+                if num.fixed_dt is None:
+                    new = None  # a failed check: rejected below
+                elif hist is euler:
+                    raise
+                else:  # IMEX Euler redoes the step; its failures raise
+                    new = stepper.sbdf2(w, h, rates, euler, dt, 0.0)
+                    new_rates = stepper.rates(*new[:2])
+                    stats.euler_fallbacks += 1
+            if num.fixed_dt is not None or (new is not None and hist is euler):
+                break  # the first step has no error estimate
+            err = math.inf if new is None else stepper.local_error(
+                new, w, h, hist, prev, dt, omega, err_floor)
             expo = 0.5 if prev is None else 1.0 / 3.0  # err is O(dt^2), then O(dt^3)
             factor = 0.9 * (_LTE_TOL / err) ** expo if err else math.inf
             if err <= _LTE_TOL:
                 dt_next = dt * factor
                 break
             stats.rejected += 1
+            if stats.rejected > rejected_mark + _MAX_REJECTED:
+                raise StepSizeCollapse(f"more than {_MAX_REJECTED} steps rejected in one "
+                                       f"output interval, dt = {dt:.3e} at t = {t:.9g}")
             dt_next = dt * max(0.2, factor)
 
         w_new, h_new, sup_total = new
-        if hist is not None:
+        if hist is not euler:
             prev = (hist[0], hist[1], dt_prev)
         hist = (w_new - w, h_new - h, rates)
-        w, h = w_new, h_new
+        w, h, rates = w_new, h_new, new_rates
         t = target if k == 1 else t + dt
+        if k == 1:
+            rejected_mark = stats.rejected
         dt_prev = dt
         stats.record(dt)
-        if fell_back:
-            stats.euler_fallbacks += 1
-        rates = stepper.rates(w, h)
         t_tol = _time_floor(t)
 
         recorded = False

@@ -32,7 +32,6 @@ import numpy as np
 from .errors import (
     BracketingFailure,
     InvalidRegime,
-    NonCompliant,
     NonFinite,
     NoConvergence,
     NoPositiveRoot,
@@ -240,10 +239,6 @@ class HypothesisReport:
     z_hat: float | None
     weak: bool
     failures: tuple
-
-    def raise_if_failed(self) -> None:
-        if not self.passed:
-            raise NonCompliant(self.failures[0])
 
 
 def check_hypotheses(nl: Nonlinearity, params: ModelParams, z_max: float) -> HypothesisReport:

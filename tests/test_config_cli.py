@@ -269,6 +269,51 @@ class TestSimulateCommand:
         assert not (tmp_path / "out").exists()
 
 
+SIM_SHORT = S1_BASE + """\
+model.boundary = neumann
+init.h0 = 2.0
+init.shape = cosine-bump
+init.amplitude = 0.5
+numerics.n = 100
+stop.t_end = 5.0
+output.cadence = 0.1
+"""
+
+
+class TestStepRejection:
+    """Configs whose IMEX Euler steps leave a negative density, a NaN or a
+    negative front speed: the controller rejects such a step and retries it
+    smaller, and refuses a run that stalls with StepSizeCollapse."""
+
+    @staticmethod
+    def run(tmp_path, key, value):
+        text = RunConfig.parse(SIM_SHORT).override({key: value}).serialize()
+        out = tmp_path / "out"
+        return main(["simulate", "--config", write_cfg(tmp_path / "r.cfg", text),
+                     "--out", str(out)]), out
+
+    @pytest.mark.parametrize("key, value", [
+        ("model.mu1", "1e3"),
+        ("model.mu1", "1e4"),       # these two also need the front-speed sign checked:
+        ("model.mu1", "1e5"),       # a guarded state can still give h' < 0
+        ("init.amplitude", "1e3"),
+    ])
+    def test_failed_checks_are_rejected(self, tmp_path, capsys, key, value):
+        code, out = self.run(tmp_path, key, value)
+        assert code == 0
+        run = json.loads((out / "report.json").read_text())["run"]
+        assert run["rejected"] >= 1 and run["euler_fallbacks"] == 0
+
+    @pytest.mark.parametrize("key, value", [
+        ("init.h0", "1e-6"),  # dt falls below its floor at t = 0
+        ("model.d1", "1e-8"),  # every other attempt rejected: _MAX_REJECTED in one interval
+    ])
+    def test_stalled_run_collapses(self, tmp_path, key, value):
+        code, out = self.run(tmp_path, key, value)
+        assert code == 3
+        assert (out / "FAILED").read_text().startswith("StepSizeCollapse:")
+
+
 SWEEP_SMALL = S1_BASE + """\
 model.boundary = neumann
 init.shape = cosine-bump

@@ -16,6 +16,15 @@ def zero_pair():
     return Nonlinearity(name="zero", H=z, G=z, dH=z, dG=z, d2H=z, d2G=z)
 
 
+def euler(stepper, w, h, dt):
+    """IMEX Euler: SBDF2 at omega = 0 with a zero history; returns the new
+    (w, h, h', max(u + v)), h' being the front speed the step used."""
+    rates = stepper.rates(w, h)
+    zeros = np.zeros_like(w)
+    w_new, h_new, sup = stepper.sbdf2(w, h, rates, (zeros, 0.0, (0.0, zeros)), dt, 0.0)
+    return w_new, h_new, rates[0], sup
+
+
 def flux(u, v, h, params):
     u, v = np.asarray(u, float), np.asarray(v, float)
     return _flux(u, v, h, 1.0 / (u.size - 1), params)
@@ -64,7 +73,7 @@ class TestStep:
     def test_zero_data_is_fixed_point(self):
         p = ModelParams(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, "dirichlet")
         stepper = _Stepper(p, saturating(), 100)
-        (u, v), h, hp, sup = stepper.advance(np.zeros((2, 101)), 2.0, 1e-3)
+        (u, v), h, hp, sup = euler(stepper, np.zeros((2, 101)), 2.0, 1e-3)
         assert np.all(u == 0.0) and np.all(v == 0.0)
         assert h == 2.0 and hp == 0.0 and sup == 0.0
 
@@ -113,7 +122,7 @@ class TestStep:
         state = np.stack([np.cos(0.5 * np.pi * stepper.xi), np.cos(0.5 * np.pi * stepper.xi)])
         state[field][50] = value  # interior node, away from the front stencil
         with np.errstate(all="ignore"), pytest.raises(error):
-            stepper.advance(state, 2.0, 1e-3)
+            euler(stepper, state, 2.0, 1e-3)
 
 
 def reference_advance(params, nl, n, u, v, h, dt):
@@ -170,7 +179,7 @@ class TestStepBitwise:
             ref = (u.copy(), v.copy(), h)
             for _ in range(10):
                 dt = rng.uniform(1e-4, 2e-3)
-                (u_new, v_new), *rest = stepper.advance(np.stack((u, v)), h, dt)
+                (u_new, v_new), *rest = euler(stepper, np.stack((u, v)), h, dt)
                 got = (u_new, v_new, *rest)
                 want = reference_advance(params, nl, n, *ref, dt)
                 assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
@@ -277,6 +286,15 @@ class TestSimulate:
                          StopRule(t_end=25.0))
         assert trace.stop_reason == "vanishing"
         assert trace.stats.steps <= 350
+
+    def test_vanishing_cell_rejects_negative_step(self, s1_nl, s1_dirichlet):
+        # an SBDF2 step here leaves a negative density; the controller rejects
+        # it and retries smaller, and no IMEX Euler step redoes it
+        num = SolverNumerics(n=200, trace_cadence=0.1)
+        trace = simulate(s1_dirichlet, s1_nl, InitialData.sine(1.0, 0.2, 401), num,
+                         StopRule(t_end=25.0))
+        assert trace.stop_reason == "vanishing"
+        assert trace.stats.euler_fallbacks == 0 and trace.stats.rejected >= 1
 
     def test_vanishing_with_euler_fallback(self, s1_nl, s1_dirichlet):
         # criterion 7's vanishing config at a step as long as the cadence:
