@@ -30,8 +30,8 @@ from .errors import (
     WindowTooShort,
 )
 from .fbsolver import RunTrace, Snapshot
-from .model import BoundaryKind, Equilibrium, ModelParams, Nonlinearity
-from .semiwave import SemiWaveProfile, _log_linear_fit
+from .model import BoundaryKind, Equilibrium, ModelParams, Nonlinearity, _line_fit
+from .semiwave import SemiWaveProfile
 from ._format import json_dumps
 
 __all__ = [
@@ -114,12 +114,9 @@ def front_speed(trace: RunTrace) -> SpeedFit:
     y = trace.h[mask]
     if x.size < 10:
         raise WindowTooShort(f"{x.size} samples in the trailing half")
-    xm, ym = x.mean(), y.mean()
-    sxx = float(np.sum((x - xm) ** 2))
-    slope = float(np.sum((x - xm) * (y - ym)) / sxx)
-    resid = y - ym - slope * (x - xm)
+    slope, _, _, resid = _line_fit(x, y)
     var = float(np.sum(resid ** 2))
-    se = math.sqrt(var / (x.size - 2) / sxx)
+    se = math.sqrt(var / (x.size - 2) / float(np.sum((x - x.mean()) ** 2)))
     if var > 0.0:
         rho = float(np.sum(resid[1:] * resid[:-1]) / var)
         rho = min(max(rho, 0.0), 0.999)
@@ -212,7 +209,7 @@ def interior_convergence_fit(snapshots: list[Snapshot], eq: Equilibrium,
     usable = errors > 1e-300
     if int(usable.sum()) < 3:
         raise WindowTooShort("fewer than 3 positive interior errors to fit")
-    slope, intercept, r2 = _log_linear_fit(times[usable], errors[usable])
+    slope, intercept, r2, _ = _line_fit(times[usable], np.log(errors[usable]))
     return InteriorFit(M_hat=float(np.exp(intercept)), delta_hat=-slope, r_squared=r2)
 
 

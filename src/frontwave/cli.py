@@ -26,7 +26,7 @@ from .config import (
     build_stop,
     sweep_cells,
 )
-from .errors import FrontwaveError, ModelRegimeError, NoPositiveRoot, SolverError
+from .errors import FrontwaveError, ModelRegimeError, SolverError
 from ._format import fmt, json_dumps, write_csv
 
 EXIT_OK = 0
@@ -76,9 +76,7 @@ def cmd_speeds(cfg: RunConfig, outdir: str, args) -> list:
     params = build_params(cfg)
     num = build_semiwave_numerics(cfg)
     r0 = model.compute_R0(nl, params)
-    if r0 <= 1.0:
-        raise NoPositiveRoot(f"R0 = {fmt(r0)} <= 1: spreading regime required")
-    eq = model.compute_equilibrium(nl, params)
+    eq = model.compute_equilibrium(nl, params)  # NoPositiveRoot when R0 <= 1
     l0 = model.compute_l0(nl, params)
     pair, _profile = semiwave.find_c0(nl, params, num, eq)
     beta0, _ = semiwave.decay_rate_theoretical(nl, params, 0.0, eq)

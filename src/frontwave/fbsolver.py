@@ -39,8 +39,8 @@ stability limit of the explicit central advection scales like d / h'^2
 and does not shrink with the grid. Every output interval (trace cadence,
 snapshot times, t_end) is split into equal steps that land exactly on its
 end, so no step is longer than the trace cadence. fixed_dt replaces the
-controller, for convergence studies: IMEX Euler redoes an SBDF2 step that
-fails a check there, and its own failure raises.
+controller, for convergence studies: a step that fails a check raises
+there, so no step of another order enters the study.
 
 The solve does not check its input for NaN or infinity. The step's guards
 are the only finiteness check: the minimum over the state catches
@@ -144,7 +144,6 @@ class RunStats:
     """Step counts and the range of accepted steps; deterministic per config."""
     steps: int = 0             # accepted steps
     rejected: int = 0          # steps redone smaller: error over tolerance or a failed check
-    euler_fallbacks: int = 0   # fixed_dt steps that IMEX Euler redid for SBDF2
     dt_min: float = math.inf
     dt_max: float = 0.0
     dt_mean: float = 0.0       # elapsed model time / accepted steps, set when the run ends
@@ -397,14 +396,9 @@ def simulate(params: ModelParams, nl: Nonlinearity, init: InitialData,
                 new = stepper.sbdf2(w, h, rates, hist, dt, omega)
                 new_rates = stepper.rates(*new[:2])
             except (StabilityViolation, NonFinite, NegativeSpeed):
-                if num.fixed_dt is None:
-                    new = None  # a failed check: rejected below
-                elif hist is euler:
+                if num.fixed_dt is not None:
                     raise
-                else:  # IMEX Euler redoes the step; its failures raise
-                    new = stepper.sbdf2(w, h, rates, euler, dt, 0.0)
-                    new_rates = stepper.rates(*new[:2])
-                    stats.euler_fallbacks += 1
+                new = None  # a failed check: rejected below
             if num.fixed_dt is not None or (new is not None and hist is euler):
                 break  # the first step has no error estimate
             err = math.inf if new is None else stepper.local_error(

@@ -15,7 +15,8 @@ Closed forms implemented here:
   for a Dirichlet fixed boundary, and half of that for Neumann.
 
 The one scalar root-finder, Newton's method in a sign bracket, solves for
-v* here and for beta(c) and c0 in semiwave.
+v* here and for lambda*, beta(c) and c0 in semiwave; the one least-squares
+line fits the front speed and the log-linear decay rates.
 
 All types are frozen dataclasses; operations are pure and thread-safe.
 """
@@ -294,7 +295,7 @@ def check_hypotheses(nl: Nonlinearity, params: ModelParams, z_max: float) -> Hyp
 
 
 # ---------------------------------------------------------------------------
-# the scalar root-finder (v*, beta, c0) and the closed forms
+# the scalar root-finder (v*, lambda*, beta, c0), the line fit and the closed forms
 # ---------------------------------------------------------------------------
 
 def _newton_root(fdf: Callable[[float], tuple[float, float]], x: float, lo: float,
@@ -330,6 +331,19 @@ def _newton_root(fdf: Callable[[float], tuple[float, float]], x: float, lo: floa
     raise NoConvergence(maxiter, f"Newton root-find, next iterate {x!r}")
 
 
+def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, np.ndarray]:
+    """Least-squares line through (x, y): (slope, intercept, R^2, residuals).
+
+    Centred sums throughout; R^2 is 0 when y is constant.
+    """
+    xm, ym = x.mean(), y.mean()
+    slope = float(np.sum((x - xm) * (y - ym)) / np.sum((x - xm) ** 2))
+    resid = y - ym - slope * (x - xm)
+    ss_tot = float(np.sum((y - ym) ** 2))
+    r2 = 0.0 if ss_tot == 0.0 else 1.0 - float(np.sum(resid ** 2)) / ss_tot
+    return slope, float(ym - slope * xm), r2, resid
+
+
 def compute_R0(nl: Nonlinearity, params: ModelParams) -> float:
     """Basic reproduction number H'(0) G'(0) / (a b)."""
     return float(nl.dH(0.0)) * float(nl.dG(0.0)) / (params.a * params.b)
@@ -344,8 +358,9 @@ def compute_equilibrium(nl: Nonlinearity, params: ModelParams) -> Equilibrium:
     a doubling point returns at once). Both residuals come out <= 1e-12.
     """
     a, b = params.a, params.b
-    if compute_R0(nl, params) <= 1.0:
-        raise NoPositiveRoot("R0 <= 1: only the trivial equilibrium exists")
+    r0 = compute_R0(nl, params)
+    if r0 <= 1.0:
+        raise NoPositiveRoot(f"R0 = {r0} <= 1: only the trivial equilibrium exists")
 
     def fdf(v: float) -> tuple[float, float]:
         u = float(nl.H(v)) / a

@@ -16,8 +16,9 @@ which has a unique strictly increasing solution for every speed c in
       c(lam) = (S + sqrt(D^2 + 4 H'(0)G'(0))) / (2 lam),
       S = (d1 lam^2 - a) + (d2 lam^2 - b),  D = (d1 lam^2 - a) - (d2 lam^2 - b),
 
-  and c* = min over lam > 0, located by a scan whose minimum starts a
-  tangency Newton iteration on (P, dP/dlam) = 0.
+  and c* = min over lam > 0 = c(lambda*), where dP/dlam = 0 along the
+  branch. A scan of c(lam) brackets lambda*, and the package's scalar
+  root-finder (model._newton_root) solves dP/dlam(lam, c(lam)) = 0 in lam.
 
 * c0: the unique root in (0, c*) of F(c) = mu1*phi_c'(0) + mu2*psi_c'(0) - c.
   F(0) > 0 since the slopes are positive. Each profile solve also returns
@@ -60,6 +61,7 @@ from .model import (
     Equilibrium,
     ModelParams,
     Nonlinearity,
+    _line_fit,
     _newton_root,
     _one_sided_slope,
     compute_equilibrium,
@@ -159,56 +161,46 @@ class DecayFit:
 # minimal speed: tangency of the characteristic polynomial
 # ---------------------------------------------------------------------------
 
-def _poly_terms(lam: float, c: float, params: ModelParams, k: float):
-    A = params.d1 * lam * lam - c * lam - params.a
-    B = params.d2 * lam * lam - c * lam - params.b
-    A_l = 2.0 * params.d1 * lam - c
-    B_l = 2.0 * params.d2 * lam - c
-    P = A * B - k
-    P_l = A_l * B + A * B_l
-    P_c = -lam * (A + B)
-    P_ll = 2.0 * params.d1 * B + 2.0 * A_l * B_l + 2.0 * params.d2 * A
-    P_lc = -(A + B) - lam * (A_l + B_l)
-    return A, B, P, P_l, P_c, P_ll, P_lc
-
-
 def compute_cstar(nl: Nonlinearity, params: ModelParams) -> tuple[float, float]:
     """Minimal wave speed and its tangency root (c*, lambda*).
 
-    Scan the admissible branch c(lam), then Newton on (P, dP/dlam) = 0 with
-    the analytic Jacobian from the scan's minimum until both tangency
-    residuals are at machine level (well under the 1e-9 requirement).
+    Along the admissible branch c(lam), where P_c = -lam (A + B) > 0, the
+    slope c'(lam) = -P_lam / P_c, so f(lam) = P_lam(lam, c(lam)) is positive
+    below lambda* and negative above it, with f' = P_ll - P_lc P_lam / P_c.
+    A scan of c(lam) over six decades centred on (sqrt(H'(0)G'(0)) /
+    max(d1, d2))^(1/2) brackets lambda* by its minimum's two neighbours, and
+    model._newton_root finds the root of f to the last bit; c* = c(lambda*).
+    A minimum at an end of the scan raises NoTangency.
     """
     k = float(nl.dH(0.0)) * float(nl.dG(0.0))
-    ab = params.a * params.b
-    if k <= ab:
+    d1, d2, a, b = params.d1, params.d2, params.a, params.b
+    if k <= a * b:
         raise NoTangency("reproduction number at or below 1: no positive growth mode")
 
     def c_branch(lam):
-        fa = params.d1 * lam * lam - params.a
-        fb = params.d2 * lam * lam - params.b
+        fa = d1 * lam * lam - a
+        fb = d2 * lam * lam - b
         return (fa + fb + np.sqrt((fa - fb) ** 2 + 4.0 * k)) / (2.0 * lam)
 
-    lam_grid = np.geomspace(1e-3, 1e3, 4001)
-    c_vals = c_branch(lam_grid)
-    i0 = int(np.argmin(c_vals))
-    lam, c = float(lam_grid[i0]), float(c_vals[i0])
+    def fdf(lam: float) -> tuple[float, float]:
+        c = c_branch(lam)
+        A = d1 * lam * lam - c * lam - a
+        B = d2 * lam * lam - c * lam - b
+        A_l, B_l = 2.0 * d1 * lam - c, 2.0 * d2 * lam - c
+        P_l = A_l * B + A * B_l
+        P_c = -lam * (A + B)
+        P_ll = 2.0 * d1 * B + 2.0 * A_l * B_l + 2.0 * d2 * A
+        P_lc = -(A + B) - lam * (A_l + B_l)
+        return P_l, P_ll - P_lc * P_l / P_c
 
-    for _ in range(60):
-        A, B, P, P_l, P_c, P_ll, P_lc = _poly_terms(lam, c, params, k)
-        if abs(P) < 1e-13 and abs(P_l) < 1e-13:
-            break
-        det = P_l * P_lc - P_c * P_ll
-        if det == 0.0 or not math.isfinite(det):
-            break
-        dlam = -(P * P_lc - P_c * P_l) / det
-        dc = -(P_l * P_l - P * P_ll) / det
-        lam += dlam
-        c += dc
-    A, B, P, P_l, *_ = _poly_terms(lam, c, params, k)
-    if not (lam > 0 and c > 0 and abs(P) <= 1e-9 and abs(P_l) <= 1e-9 and A < 0 and B < 0):
-        raise NoTangency(f"tangency polish failed: P={P:.2e}, dP/dlam={P_l:.2e}")
-    return c, lam
+    lam_grid = math.sqrt(math.sqrt(k) / max(d1, d2)) * np.geomspace(1e-3, 1e3, 4001)
+    i0 = int(np.argmin(c_branch(lam_grid)))
+    if not 0 < i0 < lam_grid.size - 1:
+        raise NoTangency(f"c(lambda) has no minimum inside the scan "
+                         f"[{lam_grid[0]:.3g}, {lam_grid[-1]:.3g}]")
+    lam, _ = _newton_root(fdf, float(lam_grid[i0]), float(lam_grid[i0 - 1]),
+                          float(lam_grid[i0 + 1]), 0.0, maxiter=100)
+    return float(c_branch(lam)), float(lam)
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +381,9 @@ def solve_semiwave(c: float, nl: Nonlinearity, params: ModelParams,
     beta, _ = decay_rate_theoretical(nl, params, c, eq)
     x_max = 12.0 / beta if num.x_max is None else num.x_max
     n_cells = int(math.ceil(x_max / num.dx - 1e-12))
+    if n_cells < 2:  # the slope stencil and the residual need an interior node
+        raise ValueError(f"numerics.dx_semiwave = {num.dx} leaves {n_cells} cell on "
+                         f"[0, x_max = {x_max:.6g}]: the semi-wave grid needs dx below x_max")
     x = np.linspace(0.0, n_cells * num.dx, n_cells + 1)
     dx = num.dx
     x_max = float(x[-1])
@@ -501,17 +496,6 @@ def find_c0(nl: Nonlinearity, params: ModelParams,
 # empirical tail rate
 # ---------------------------------------------------------------------------
 
-def _log_linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
-    """Least-squares line through (x, log y): (slope, intercept, R^2)."""
-    logy = np.log(y)
-    slope, intercept = np.polyfit(x, logy, 1)
-    fitted = slope * x + intercept
-    ss_res = float(np.sum((logy - fitted) ** 2))
-    ss_tot = float(np.sum((logy - logy.mean()) ** 2))
-    r2 = 0.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return float(slope), float(intercept), r2
-
-
 def decay_rate_empirical(profile: SemiWaveProfile, eq: Equilibrium) -> DecayFit:
     """Least-squares log-slope of u*-phi + v*-psi over the grid tail.
 
@@ -527,6 +511,6 @@ def decay_rate_empirical(profile: SemiWaveProfile, eq: Equilibrium) -> DecayFit:
     usable = window & (vals >= 1e-13)
     if int(usable.sum()) < 8:
         raise TailUnderflow(f"only {int(usable.sum())} usable tail nodes")
-    slope, _, r2 = _log_linear_fit(x[usable], vals[usable])
+    slope, _, r2, _ = _line_fit(x[usable], np.log(vals[usable]))
     return DecayFit(alpha=-slope, r_squared=r2)
 

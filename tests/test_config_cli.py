@@ -110,8 +110,20 @@ class TestSpeedsCommand:
         assert main(["speeds", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "R0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, key, value", [
+        ("speeds", "numerics.dx_semiwave", "17"),  # 12/beta(0) = 16.97: one cell
+        ("speeds", "numerics.dx_semiwave", "50"),
+        ("semiwave", "numerics.x_max", "0.02"),    # x_max = dx
+    ])
+    def test_semiwave_grid_without_interior_node_exits_2(self, tmp_path, capsys,
+                                                         command, key, value):
+        cfg = write_cfg(tmp_path / "g.cfg", S1_BASE + f"{key} = {value}\n")
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "ValueError: numerics.dx_semiwave" in err and "x_max" in err
+
     def test_root_finder_failure_exits_3(self, tmp_path, s1_speeds_cfg, monkeypatch):
-        # one Newton step cannot reach the tail rate beta: NoConvergence is a solver failure
+        # one Newton step cannot reach lambda* (c*) or beta: NoConvergence is a solver failure
         def one_step(*args, **kwargs):
             return model._newton_root(*args, **{**kwargs, "maxiter": 1})
 
@@ -181,7 +193,7 @@ class TestSimulateCommand:
         assert report["classification"] == "Spreading"
         assert report["c_hat"] > 0.0
         run = report["run"]
-        assert set(run) == {"steps", "rejected", "euler_fallbacks", "dt_min", "dt_max", "dt_mean"}
+        assert set(run) == {"steps", "rejected", "dt_min", "dt_max", "dt_mean"}
         assert run["steps"] > 0 and 0.0 < run["dt_min"] <= run["dt_mean"] <= run["dt_max"]
         assert run["dt_mean"] * run["steps"] == pytest.approx(24.0, rel=1e-12)  # stop.t_end
         search = report["c0_search"]
@@ -302,7 +314,7 @@ class TestStepRejection:
         code, out = self.run(tmp_path, key, value)
         assert code == 0
         run = json.loads((out / "report.json").read_text())["run"]
-        assert run["rejected"] >= 1 and run["euler_fallbacks"] == 0
+        assert run["rejected"] >= 1
 
     @pytest.mark.parametrize("key, value", [
         ("init.h0", "1e-6"),  # dt falls below its floor at t = 0

@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import Phase, given, settings, strategies as st
 from scipy.optimize import brentq
 
@@ -11,6 +12,7 @@ from frontwave.fbsolver import SolverNumerics, StopRule, simulate
 from frontwave.model import InitialData, ModelParams, compute_equilibrium, compute_l0, saturating
 from frontwave.semiwave import (
     SemiwaveNumerics,
+    compute_cstar,
     decay_rate_theoretical,
     find_c0,
     solve_semiwave,
@@ -26,11 +28,30 @@ _spreading_sets = dict(
 # no shrink phase: each shrink step reruns a solve, and a red run spent
 # minutes shrinking; the failing example is reported as drawn
 _NO_SHRINK = (Phase.explicit, Phase.generate, Phase.target)
+# scipy's brentq run to its tightest tolerance: the oracle for every closed-form root
+_TIGHT = dict(xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
 
 
 def _model(d1, d2, a, b, mu1, mu2, hp, hq, gq, r0, dirichlet):
     params = ModelParams(d1, d2, a, b, mu1, mu2, "dirichlet" if dirichlet else "neumann")
     return params, saturating(hp, hq, r0 * a * b / hp, gq)
+
+
+def _cstar_ref(nl, params):
+    """c* = min of c(lam) = (S + R) / (2 lam), R = sqrt(D^2 + 4 H'(0)G'(0)),
+    where the numerator of dc/dlam, lam (S' + R') - (S + R), changes sign."""
+    d1, d2, a, b = params.d1, params.d2, params.a, params.b
+    k = float(nl.dH(0.0)) * float(nl.dG(0.0))
+
+    def branch(lam):
+        S = (d1 + d2) * lam * lam - a - b
+        D = (d1 - d2) * lam * lam - a + b
+        R = math.sqrt(D * D + 4.0 * k)
+        return S + R, 2.0 * (d1 + d2) * lam + 2.0 * (d1 - d2) * lam * D / R
+
+    # the numerator is -(S + R) < 0 as lam -> 0 and grows like lam^2
+    lam = brentq(lambda x: x * branch(x)[1] - branch(x)[0], 1e-12, 1e12, maxiter=500, **_TIGHT)
+    return branch(lam)[0] / (2.0 * lam)
 
 
 @settings(max_examples=15, deadline=None, derandomize=True, phases=_NO_SHRINK)
@@ -77,20 +98,29 @@ def test_c0_below_cstar_on_random_spreading_sets(**drawn):
         return params.mu1 * prof.slope0_phi + params.mu2 * prof.slope0_psi - c
 
     assert F(pair.c0 - dc) > 0.0 > F(pair.c0 + dc)
-    # v*, beta(0) and beta(c0) against scipy's brentq run to its tightest tolerance
+    # c*, v*, beta(0) and beta(c0) against scipy's brentq run to its tightest tolerance
+    assert abs(pair.c_star / _cstar_ref(nl, params) - 1.0) <= 1e-13
     a, b, d1, d2 = params.a, params.b, params.d1, params.d2
-    tight = dict(xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
     v_ref = brentq(lambda v: b * v - float(nl.G(float(nl.H(v)) / a)),
-                   0.5 * eq.v_star, 2.0 * eq.v_star, **tight)
+                   0.5 * eq.v_star, 2.0 * eq.v_star, **_TIGHT)
     assert abs(eq.v_star / v_ref - 1.0) <= 1e-13
     prod = eq.Hp_vstar * eq.Gp_ustar
     for c in (0.0, pair.c0):
         bmax = min((-c + math.sqrt(c * c + 4.0 * d1 * a)) / (2.0 * d1),
                    (-c + math.sqrt(c * c + 4.0 * d2 * b)) / (2.0 * d2))
         beta_ref = brentq(lambda x: (a - d1 * x * x - c * x) * (b - d2 * x * x - c * x) - prod,
-                          0.0, bmax, **tight)
+                          0.0, bmax, **_TIGHT)
         beta, _ = decay_rate_theoretical(nl, params, c, eq)
         assert abs(beta / beta_ref - 1.0) <= 1e-13
+
+
+@pytest.mark.parametrize("d1, d2", [(1e-7, 1e-7), (1e7, 1e7), (1e-7, 1e7)])
+def test_cstar_with_tangency_outside_the_unit_scan(d1, d2):
+    # lambda* is 3.2e3, 3.2e-4 and 3.7e-4 here, outside [1e-3, 1e3]
+    params, nl = ModelParams(d1, d2, 1.0, 1.0, 1.0, 1.0, "neumann"), saturating()
+    c_star, lam_star = compute_cstar(nl, params)
+    assert not 1e-3 <= lam_star <= 1e3
+    assert abs(c_star / _cstar_ref(nl, params) - 1.0) <= 1e-13
 
 
 @settings(max_examples=15, deadline=None, derandomize=True, phases=_NO_SHRINK)
