@@ -395,17 +395,7 @@ class OutcomeReport:
     c0_search: dict | None  # find_c0's work and iterates, as in speeds.json; None without c0
 
     def to_json(self) -> str:
-        return json_dumps({
-            "classification": self.classification.value,
-            "c_hat": self.c_hat,
-            "c_hat_stderr": self.c_hat_stderr,
-            "h_star_hat": self.h_star_hat,
-            "drift_variation": self.drift_variation,
-            "profile_sup_error": [[t, e] for t, e in self.profile_sup_error],
-            "interior_fit": self.interior_fit,
-            "run": self.run,
-            "c0_search": self.c0_search,
-        })
+        return json_dumps(asdict(self))
 
 
 def build_outcome_report(trace: RunTrace, l0: float, boundary: BoundaryKind,

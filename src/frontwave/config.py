@@ -9,7 +9,6 @@ unchanged. The full schema lives in docs/config.md.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -30,9 +29,9 @@ _KNOWN_KEYS = {
     "model.mu1", "model.mu2", "model.boundary",
     "init.h0", "init.shape", "init.amplitude", "init.table", "init.nodes",
     "numerics.n",
-    "numerics.dx_semiwave", "numerics.x_max", "numerics.c_tol", "numerics.f_tol",
+    "numerics.dx_semiwave",
     "semiwave.c",
-    "stop.t_end", "stop.x_budget",
+    "stop.t_end",
     "output.dir", "output.cadence", "output.snapshots",
     "sweep.h0", "sweep.amplitude", "sweep.mu",
 }
@@ -186,21 +185,11 @@ def build_solver_numerics(cfg: RunConfig) -> SolverNumerics:
 
 
 def build_semiwave_numerics(cfg: RunConfig) -> SemiwaveNumerics:
-    x_max = cfg.getfloat("numerics.x_max", 0.0)
-    return SemiwaveNumerics(
-        dx=cfg.getfloat("numerics.dx_semiwave", 0.02),
-        x_max=None if not x_max else x_max,
-        c_tol=cfg.getfloat("numerics.c_tol", 1e-9),
-        f_tol=cfg.getfloat("numerics.f_tol", 1e-8),
-    )
+    return SemiwaveNumerics(dx=cfg.getfloat("numerics.dx_semiwave", 0.02))
 
 
 def build_stop(cfg: RunConfig) -> StopRule:
-    budget = cfg.getfloat("stop.x_budget", 0.0)
-    return StopRule(
-        t_end=cfg.getfloat("stop.t_end", 10.0),
-        x_budget=budget or math.inf,
-    )
+    return StopRule(t_end=cfg.getfloat("stop.t_end", 10.0))
 
 
 # sweep axis -> the keys each of its values sets (the mu ladder moves both)

@@ -121,13 +121,10 @@ class SolverNumerics:
 @dataclass(frozen=True)
 class StopRule:
     t_end: float
-    x_budget: float = math.inf
 
     def __post_init__(self):
         if not 0 < self.t_end < math.inf:
             raise ValueError("t_end must be positive and finite")
-        if not self.x_budget > 0:
-            raise ValueError("x_budget must be positive (inf for no budget)")
 
 
 @dataclass(frozen=True)
@@ -334,8 +331,8 @@ def simulate(params: ModelParams, nl: Nonlinearity, init: InitialData,
              stop: StopRule | None = None) -> RunTrace:
     """Run the stepper until the stop rule fires; deterministic per config.
 
-    Stops at t_end, when the front exceeds the budget, or once the total
-    sup-norm stays under the vanishing threshold for VANISH_SUSTAIN.
+    Stops at t_end, or once the total sup-norm stays under the vanishing
+    threshold for VANISH_SUSTAIN.
     Initial data must pass validate_initial_data.
     """
     num = numerics or SolverNumerics()
@@ -446,8 +443,6 @@ def simulate(params: ModelParams, nl: Nonlinearity, init: InitialData,
 
         if not stop_reason and t >= stop.t_end - t_tol:
             stop_reason = "t_end"
-        if not stop_reason and h >= stop.x_budget:
-            stop_reason = "front_budget"
         if stop_reason:
             if not recorded:
                 rows.append(row())

@@ -323,7 +323,8 @@ def _newton_root(fdf: Callable[[float], tuple[float, float]], x: float, lo: floa
         else:
             hi = x
         x_next = x + dx
-        if not lo < x_next < hi:  # NaN included
+        # x is a bracket end now: a step that rounds back onto it ends below
+        if not lo < x_next < hi and x_next != x:  # NaN included
             x_next = 0.5 * (lo + hi)
         if x_next == x:
             return x, f

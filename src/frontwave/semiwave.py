@@ -96,8 +96,10 @@ _STOP_ROUNDING = 8.0 * float(np.finfo(float).eps)
 # at 0.999 c* some of them need more than 40
 _MAX_NEWTON = 40
 _C_MAX_FRAC = 0.999             # top of the c0 bracket until F(c) <= 0 is seen, over c*
+_C_TOL = 1e-9                   # bound on the last Newton step of the c0 search
+_F_TOL = 1e-8                   # bound on |F(c0)|
 # profile solves per c0 search before NoConvergence: bisection alone needs
-# ~30 to shrink the bracket from c* to c_tol; Newton takes 3-11 on the test sets
+# ~30 to shrink the bracket from c* to _C_TOL; Newton takes 3-11 on the test sets
 _MAX_C0_SOLVES = 50
 
 
@@ -105,16 +107,11 @@ _MAX_C0_SOLVES = 50
 class SemiwaveNumerics:
     dx: float = 0.02
     x_max: float | None = None      # None: 12/beta(c), rounded to the grid
-    c_tol: float = 1e-9             # bound on the last Newton step of the c0 search
-    f_tol: float = 1e-8             # bound on |F(c0)|
 
     def __post_init__(self):
         # written as not (...) so that NaN fails too
-        if not (0 < self.dx < math.inf and 0 < self.c_tol < math.inf
-                and 0 < self.f_tol < math.inf
-                and (self.x_max is None or 0 < self.x_max < math.inf)):
-            raise ValueError("semi-wave numerics need positive finite dx, c_tol, f_tol "
-                             "and x_max (or x_max None)")
+        if not (0 < self.dx < math.inf and (self.x_max is None or 0 < self.x_max < math.inf)):
+            raise ValueError("semi-wave numerics need positive finite dx and x_max (or None)")
 
 
 @dataclass(frozen=True)
@@ -445,9 +442,9 @@ def find_c0(nl: Nonlinearity, params: ModelParams,
     until F <= 0 is seen. F'(c) comes from the profile's speed sensitivity
     s through the same slope stencil, and each solve starts from the
     tangent predictor profile + dc*s. The search stops when the next step
-    is at most c_tol and |F| at most f_tol, or when a step no longer moves
-    c, and returns the last solved profile; |F| > f_tol then raises
-    SolverError, and 50 solves raise NoConvergence. The SpeedPair counts
+    is at most _C_TOL and |F| at most _F_TOL, or when a step no longer moves
+    c, and returns the last solved profile; |F| > _F_TOL then raises
+    SolverError, and _MAX_C0_SOLVES solves raise NoConvergence. The SpeedPair counts
     the profile solves, their band solves and the cold ones among them, and
     lists the iterates (c, F(c)).
     """
@@ -479,11 +476,11 @@ def find_c0(nl: Nonlinearity, params: ModelParams,
               + mu2 * _one_sided_slope(profile.dpsi_dc, num.dx) - 1.0)
         return f, df
 
-    c0, f = _newton_root(fdf, 0.0, 0.0, _C_MAX_FRAC * c_star, num.c_tol, num.f_tol,
+    c0, f = _newton_root(fdf, 0.0, 0.0, _C_MAX_FRAC * c_star, _C_TOL, _F_TOL,
                          maxiter=_MAX_C0_SOLVES)
     f_res = abs(f)
-    if f_res > num.f_tol:
-        raise SolverError(f"|F(c0)|={f_res:.3e} exceeds tolerance {num.f_tol}")
+    if f_res > _F_TOL:
+        raise SolverError(f"|F(c0)|={f_res:.3e} exceeds tolerance {_F_TOL}")
     if not (0.0 < c0 < c_star):
         raise SolverError(f"c0={c0} outside (0, c*)")
     return SpeedPair(c_star=c_star, c0=float(c0), lambda_star=lam_star,

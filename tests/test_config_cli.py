@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,9 @@ import pytest
 
 from frontwave import fbsolver, model, semiwave
 from frontwave.cli import main
-from frontwave.config import ConfigError, RunConfig, build_params, sweep_cells
+from frontwave.config import _KNOWN_KEYS, ConfigError, RunConfig, build_params, sweep_cells
+
+_REPO = Path(__file__).resolve().parents[1]
 
 S1_BASE = """\
 # symmetric benchmark
@@ -74,6 +77,26 @@ class TestRunConfig:
         assert cells[0]["model.mu1"] == cells[0]["model.mu2"] == "0.5"
 
 
+class TestDocumentedSchema:
+    """The documents name exactly the keys the parser takes."""
+
+    def test_config_tables_list_every_key(self):
+        documented = set()
+        for line in (_REPO / "docs" / "config.md").read_text().splitlines():
+            if line.startswith("|"):  # the backticked keys of a table's first column
+                documented.update(re.findall(r"`([a-z0-9_]+\.[a-z0-9_]+)`", line.split("|")[1]))
+        assert documented == _KNOWN_KEYS
+
+    @pytest.mark.parametrize("name", ["README.md", "docs/config.md"])
+    def test_config_examples_parse(self, name):
+        blocks = re.findall(r"^```[^\n]*\n(.*?)^```", (_REPO / name).read_text(), re.M | re.S)
+        # a fenced block whose first setting line reads key.name = ... is a config
+        configs = [b for b in blocks if re.match(r"(\s*(#.*)?\n)*[a-z0-9_]+\.[a-z0-9_]+ *=", b)]
+        assert configs
+        for block in configs:
+            RunConfig.parse(block)
+
+
 @pytest.fixture()
 def s1_speeds_cfg(tmp_path):
     text = S1_BASE + (
@@ -113,7 +136,6 @@ class TestSpeedsCommand:
     @pytest.mark.parametrize("command, key, value", [
         ("speeds", "numerics.dx_semiwave", "17"),  # 12/beta(0) = 16.97: one cell
         ("speeds", "numerics.dx_semiwave", "50"),
-        ("semiwave", "numerics.x_max", "0.02"),    # x_max = dx
     ])
     def test_semiwave_grid_without_interior_node_exits_2(self, tmp_path, capsys,
                                                          command, key, value):
@@ -224,8 +246,9 @@ class TestSimulateCommand:
         ("numerics.dt_cap", "0"),        # no longer a key: the error controller sets dt
         ("numerics.cfl", "-1"),          # no longer a key either
         ("numerics.dx_semiwave", "0"),   # would divide by zero in the profile grid
-        ("numerics.x_max", "-5"),
-        ("numerics.c_tol", "0"),
+        ("numerics.x_max", "-5"),        # no longer a key: x_max is 12/beta(c)
+        ("numerics.c_tol", "0"),         # no longer a key: a constant of the c0 search
+        ("numerics.f_tol", "1e-30"),     # no longer a key either
         ("init.amplitude", "nan"),       # would reach the tridiagonal solve
         ("init.h0", "nan"),
         ("stop.t_end", "nan"),
@@ -234,7 +257,7 @@ class TestSimulateCommand:
         ("nonlinearity.hp", "nan"),
         ("output.snapshots", "2,nan,4"),  # the NaN would block the t = 4 snapshot
         ("output.snapshots", "-1,4"),     # would be written as a t = 0 snapshot
-        ("stop.x_budget", "nan"),         # would run with no budget
+        ("stop.x_budget", "nan"),         # no longer a key: runs stop at t_end or vanishing
         ("stop.x_budget", "-3"),
     ])
     def test_bad_value_rejected_before_run(self, tmp_path, key, value):
@@ -245,10 +268,11 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
         assert not (out / "trace.csv").exists()
 
-    def test_solver_failure_exits_3_with_marker(self, tmp_path):
+    def test_solver_failure_exits_3_with_marker(self, tmp_path, monkeypatch):
         # no profile meets |F(c0)| <= 1e-30, so find_c0 fails after the run
+        monkeypatch.setattr(semiwave, "_F_TOL", 1e-30)
         text = RunConfig.parse(SIM_NEUMANN).override(
-            {"stop.t_end": "1", "numerics.n": "40", "numerics.f_tol": "1e-30"}).serialize()
+            {"stop.t_end": "1", "numerics.n": "40"}).serialize()
         cfg = write_cfg(tmp_path / "fail.cfg", text)
         out = tmp_path / "out"
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 3

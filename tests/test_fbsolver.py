@@ -242,13 +242,6 @@ class TestSimulate:
         hi = simulate(s1_dirichlet, s1_nl, InitialData.sine(2.0, 0.5, 201), num, stop)
         assert np.max(lo.h - hi.h) <= 1e-8
 
-    def test_front_budget_stop(self, s1_nl, s1_neumann):
-        init = InitialData.cosine_bump(2.0, 0.5, 201)
-        trace = simulate(s1_neumann, s1_nl, init, SolverNumerics(n=100, trace_cadence=0.1),
-                         StopRule(t_end=50.0, x_budget=4.0))
-        assert trace.stop_reason == "front_budget"
-        assert trace.h[-1] >= 4.0
-
     def test_grid_refinement_second_order(self, s1_nl, s1_neumann):
         # common fixed dt cancels the time-stepping error in the differences
         h_end = {}

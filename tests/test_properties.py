@@ -10,6 +10,7 @@ from scipy.optimize import brentq
 from frontwave.analysis import Classification, classify
 from frontwave.fbsolver import SolverNumerics, StopRule, simulate
 from frontwave.model import InitialData, ModelParams, compute_equilibrium, compute_l0, saturating
+from frontwave import semiwave
 from frontwave.semiwave import (
     SemiwaveNumerics,
     compute_cstar,
@@ -89,9 +90,9 @@ def test_c0_below_cstar_on_random_spreading_sets(**drawn):
     params, nl = _model(**drawn)
     pair, _ = find_c0(nl, params)
     assert 0.0 < pair.c0 < pair.c_star
-    # and F changes sign within 10 c_tol of c0
+    # and F changes sign within 10 _C_TOL of c0
     eq = compute_equilibrium(nl, params)
-    dc = 10.0 * SemiwaveNumerics().c_tol
+    dc = 10.0 * semiwave._C_TOL
 
     def F(c):
         prof = solve_semiwave(c, nl, params, eq=eq, cstar=pair.c_star)

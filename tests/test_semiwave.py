@@ -15,7 +15,7 @@ from frontwave.errors import (
     SpeedOutOfRange,
     TailUnderflow,
 )
-from frontwave import semiwave
+from frontwave import model, semiwave
 from frontwave.model import (
     Equilibrium,
     ModelParams,
@@ -214,6 +214,28 @@ def _F(p, prof):
     return p.mu1 * prof.slope0_phi + p.mu2 * prof.slope0_psi - prof.c
 
 
+@pytest.mark.parametrize("case, search", [
+    ("asymmetric", "cstar"), ("asymmetric", "beta0"), ("slow_tail", "cstar")])
+def test_converged_root_search_stops_at_once(case, search, monkeypatch):
+    # a Newton step that rounds back onto the bracket end it just moved ends
+    # the search; bisecting back to that end from the other costs 20 or more
+    nl, p = _SPEED_SETS[case]
+    calls = []
+
+    def counting(fdf, *args, **kwargs):
+        def counted(x):
+            calls.append(x)
+            return fdf(x)
+        return model._newton_root(counted, *args, **kwargs)
+
+    monkeypatch.setattr(semiwave, "_newton_root", counting)
+    if search == "cstar":
+        compute_cstar(nl, p)
+    else:
+        decay_rate_theoretical(nl, p, 0.0)
+    assert len(calls) <= 8
+
+
 class TestFreeBoundarySpeed:
     def test_benchmark_root(self, s1_c0):
         pair, prof = s1_c0
@@ -232,13 +254,13 @@ class TestFreeBoundarySpeed:
         monkeypatch.setattr(semiwave, "solve_semiwave", counting)
         pair, _ = find_c0(s1_nl, s1_neumann)
         assert len(calls) <= 7
-        assert pair.F_residual <= SemiwaveNumerics().f_tol
+        assert pair.F_residual <= semiwave._F_TOL
 
     @pytest.mark.parametrize("case", sorted(_SPEED_SETS))
     def test_truncation_at_tail_rate_barely_moves_c0(self, case):
         # the default x_max is 12/beta(c); tripling it moves c0 by <= 4e-11
         # relative, except on d = 200, whose grid has always been 12/beta:
-        # 2.6e-10 there, 1.8e-11 absolute against c_tol = 1e-9
+        # 2.6e-10 there, 1.8e-11 absolute against _C_TOL = 1e-9
         nl, p = _SPEED_SETS[case]
         pair, prof = find_c0(nl, p)
         wide, _ = find_c0(nl, p, SemiwaveNumerics(x_max=3.0 * prof.x_max))
@@ -276,7 +298,7 @@ class TestFreeBoundarySpeed:
         nl, p = _SPEED_SETS[case]
         pair, _ = find_c0(nl, p)
         eq = compute_equilibrium(nl, p)
-        dc = 10.0 * SemiwaveNumerics().c_tol
+        dc = 10.0 * semiwave._C_TOL
         below = solve_semiwave(pair.c0 - dc, nl, p, eq=eq, cstar=pair.c_star)
         above = solve_semiwave(pair.c0 + dc, nl, p, eq=eq, cstar=pair.c_star)
         assert _F(p, below) > 0.0 > _F(p, above)
