@@ -32,11 +32,13 @@ which has a unique strictly increasing solution for every speed c in
   negative, i.e. the smaller positive root; the same root-finder finds it.
 
 The BVP is discretized by second-order central differences with a hard
-pin to (u*, v*) at the truncation point X_max = 12/beta(c), and the
-discrete system is solved by a damped Newton iteration, cold from the guess
-(u* tanh x, v* tanh x) or warm from a neighbouring speed's predicted profile,
-whose grid may be shorter or longer than the new one.
-Newton stops at the rounding level of the discrete residual, 8 eps max(d1 u*,
+pin to (u*, v*) at the truncation point X_max = 12/beta(c). The discrete
+system is solved on one (2, n+1) array w = [phi; psi], the stepper's
+layout; the interleaved unknowns (phi_1, psi_1, phi_2, ...) are the band
+solver's order only. A damped Newton iteration starts cold from the guess
+(u* tanh x, v* tanh x) or warm from a neighbouring speed's predicted
+profile, whose grid may be shorter or longer than the new one. Newton
+stops at the rounding level of the discrete residual, 8 eps max(d1 u*,
 d2 v*) / dx^2; a profile is accepted at a residual of 1e-8. The half-line
 steady state (the bounded positive solution at rest) is the c = 0 profile.
 """
@@ -238,113 +240,108 @@ def decay_rate_theoretical(nl: Nonlinearity, params: ModelParams, c: float,
 # BVP solve: damped Newton on the discrete steady system
 # ---------------------------------------------------------------------------
 
-def _steady_residual(phi, psi, c, nl, params, dx):
-    """Interior residual of the discretized steady system (both components)."""
-    d1, d2, a, b = params.d1, params.d2, params.a, params.b
-    lap_phi = (phi[:-2] - 2.0 * phi[1:-1] + phi[2:]) / (dx * dx)
-    lap_psi = (psi[:-2] - 2.0 * psi[1:-1] + psi[2:]) / (dx * dx)
-    adv_phi = (phi[2:] - phi[:-2]) / (2.0 * dx)
-    adv_psi = (psi[2:] - psi[:-2]) / (2.0 * dx)
-    r_phi = d1 * lap_phi - c * adv_phi - a * phi[1:-1] + nl.H(psi[1:-1])
-    r_psi = d2 * lap_psi - c * adv_psi - b * psi[1:-1] + nl.G(phi[1:-1])
-    return r_phi, r_psi
+def _steady_residual(w, c, nl, params, dx):
+    """Interior residual of the discretized steady system on w = [phi; psi],
+    and the central gradient of w, which is -dr/dc."""
+    mid = w[:, 1:-1]
+    grad = (w[:, 2:] - w[:, :-2]) / (2.0 * dx)
+    r = np.array([[params.d1], [params.d2]]) * ((w[:, :-2] - 2.0 * mid + w[:, 2:]) / (dx * dx))
+    r -= c * grad
+    r -= np.array([[params.a], [params.b]]) * mid
+    r[0] += nl.H(mid[1])
+    r[1] += nl.G(mid[0])
+    return r, grad
 
 
 def _bands(m, c, params, dx):
     """The Jacobian's constant bands in dgbsv's (7, 2m) layout.
 
-    Unknowns are interleaved (phi_1, psi_1, phi_2, ...); entry (i, j) of the
-    pentadiagonal matrix sits at row 4 + i - j, column j. Rows 0-1 hold the
-    LU fill-in and need no values. The Fortran order lets dgbsv factor in
-    place.
+    dgbsv's unknowns are interleaved (phi_1, psi_1, phi_2, ...); entry
+    (i, j) of the pentadiagonal matrix sits at row 4 + i - j, column j.
+    One node's (2, 7) block is written once and tiled over the m nodes;
+    the transpose of the (2m, 7) result is Fortran-ordered, the layout
+    dgbsv factors in place. Rows 0-1 hold the LU fill-in and need no values.
     """
-    kap1, kap2 = params.d1 / (dx * dx), params.d2 / (dx * dx)
+    kap = np.array([params.d1, params.d2]) / (dx * dx)
     gam = c / (2.0 * dx)
-    band = np.zeros((7, 2 * m), order="F")
-    band[2, 2::2] = kap1 - gam                           # phi_{i+1}
-    band[2, 3::2] = kap2 - gam                           # psi_{i+1}
-    band[4, 0::2] = -2.0 * kap1 - params.a               # phi diagonal
-    band[4, 1::2] = -2.0 * kap2 - params.b               # psi diagonal
-    band[6, 0:-2:2] = kap1 + gam                         # phi_{i-1}
-    band[6, 1:-2:2] = kap2 + gam                         # psi_{i-1}
-    return band
+    node = np.zeros((2, 7))
+    node[:, 2] = kap - gam                               # w_{i+1}
+    node[:, 4] = -2.0 * kap - (params.a, params.b)       # diagonal
+    node[:, 6] = kap + gam                               # w_{i-1}
+    band = np.tile(node, (m, 1))
+    band[:2, 2] = band[-2:, 6] = 0.0                     # outside the matrix
+    return band.T
 
 
-def _jacobian(ab, band, phi, psi, nl):
-    """Refill ``ab`` with the Newton matrix at (phi, psi); dgbsv overwrites it."""
+def _jacobian(ab, band, w, nl):
+    """Refill ``ab`` with the Newton matrix at w; dgbsv overwrites it."""
     np.copyto(ab, band)
-    ab[3, 1::2] = nl.dH(psi[1:-1])                       # phi-row coupling to psi_i
-    ab[5, 0::2] = nl.dG(phi[1:-1])                       # psi-row coupling to phi_i
+    ab[3, 1::2] = nl.dH(w[1, 1:-1])                      # phi-row coupling to psi_i
+    ab[5, 0::2] = nl.dG(w[0, 1:-1])                      # psi-row coupling to phi_i
 
 
-def _newton(phi, psi, c, nl, params, dx, stop):
-    """Damped Newton until the sup residual is at most ``stop``.
+def _newton(w, c, nl, params, dx, stop):
+    """Damped Newton on w = [phi; psi] until the sup residual is at most ``stop``.
 
     Each band solve carries a second right-hand side, -dr/dc: the central
-    difference gradient of (phi, psi). The last solve so gives the speed
-    sensitivity s = d(phi, psi)/dc at interior nodes (interleaved), with
+    gradient of w that _steady_residual returns with the residual. The last
+    solve so gives the speed sensitivity s = dw/dc at interior nodes, with
     the Jacobian of the last step; a start already at ``stop`` makes one
-    solve for s alone. Returns (phi, psi, sup residual, s, band solves). A
-    step whose line search finds no decrease ends the iteration with the
-    residual reached so far.
+    solve for s alone. The interleaved order (phi_1, psi_1, ...) is the
+    band solver's only: its right-hand sides and solutions are seen as
+    (2, m) through transposed views. Returns (w, sup residual, s, band
+    solves). A step whose line search finds no decrease ends the iteration
+    with the residual reached so far.
     """
-    m = phi.size - 2  # interior nodes
-
-    def residual(p, q):
-        """Interleaved (phi, psi) residual, the Newton row order, and its sup."""
-        r = np.empty(2 * m)
-        r[0::2], r[1::2] = _steady_residual(p, q, c, nl, params, dx)
-        return r, float(np.max(np.abs(r)))
-
+    m = w.shape[1] - 2  # interior nodes
     band = _bands(m, c, params, dx)
     ab = np.empty_like(band, order="F")
     rhs = np.empty((2 * m, 2), order="F")
-    r, res = residual(phi, psi)
+    r, grad = _steady_residual(w, c, nl, params, dx)
+    res = float(np.max(np.abs(r)))
     steps = 0
     while True:
-        _jacobian(ab, band, phi, psi, nl)
-        rhs[:, 0] = -r
-        rhs[0::2, 1] = (phi[2:] - phi[:-2]) / (2.0 * dx)
-        rhs[1::2, 1] = (psi[2:] - psi[:-2]) / (2.0 * dx)
+        _jacobian(ab, band, w, nl)
+        np.negative(r, out=rhs[:, 0].reshape(m, 2).T)
+        np.copyto(rhs[:, 1].reshape(m, 2).T, grad)
         _, _, sol, info = dgbsv(2, 2, ab, rhs, overwrite_ab=1, overwrite_b=1)
         steps += 1
         if info != 0:
             raise SolverError(f"Newton matrix solve failed (gbsv info={info})")
-        delta, sens = sol[:, 0], sol[:, 1]
+        delta, sens = sol[:, 0].reshape(m, 2).T, sol[:, 1].reshape(m, 2).T
         if res <= stop:
             break
         step = 1.0
         for _ in range(8):
-            p_try = phi.copy()
-            q_try = psi.copy()
-            p_try[1:-1] += step * delta[0::2]
-            q_try[1:-1] += step * delta[1::2]
-            r_try, res_try = residual(p_try, q_try)
+            w_try = w.copy()
+            w_try[:, 1:-1] += step * delta
+            r_try, grad_try = _steady_residual(w_try, c, nl, params, dx)
+            res_try = float(np.max(np.abs(r_try)))
             if res_try < res:
-                phi, psi, r, res = p_try, q_try, r_try, res_try
+                w, r, grad, res = w_try, r_try, grad_try, res_try
                 break
             step *= 0.5
         else:
             break  # no improving step: stagnated above the stopping level
         if res <= stop or steps >= _MAX_NEWTON:
             break
-    return phi, psi, res, sens, steps
+    return w, res, sens, steps
 
 
-def _validate_profile(phi, psi, u_star, v_star):
-    for w, w_star, name in ((phi, u_star, "phi"), (psi, v_star, "psi")):
-        if not np.all(np.isfinite(w)):
+def _validate_profile(w, u_star, v_star):
+    for row, w_star, name in zip(w, (u_star, v_star), ("phi", "psi")):
+        if not np.all(np.isfinite(row)):
             raise SolverError(f"{name} contains non-finite values")
-        if w[0] != 0.0:
+        if row[0] != 0.0:
             raise SolverError(f"{name}(0) not pinned to zero")
-        if w.min() < 0.0 or w.max() > w_star:
+        if row.min() < 0.0 or row.max() > w_star:
             raise SolverError(f"{name} outside [0, {name}*]")
         # a decrease below the saturation tolerance is rounding next to w*
         tol = _SATURATION_TOL * max(w_star, 1.0)
-        d = np.diff(w)
+        d = np.diff(row)
         if np.any(d < -tol):
             raise SolverError(f"{name} not monotone")
-        unsaturated = (w_star - w[:-1]) > tol
+        unsaturated = (w_star - row[:-1]) > tol
         if np.any(d[unsaturated] <= 0.0):
             raise SolverError(f"{name} not strictly increasing away from saturation")
 
@@ -386,19 +383,18 @@ def solve_semiwave(c: float, nl: Nonlinearity, params: ModelParams,
     x_max = float(x[-1])
 
     warm = initial_guess is not None and abs(initial_guess.x_nodes[1] - dx) <= 1e-12 * dx
+    w_star = np.array([[eq.u_star], [eq.v_star]])
     if warm:  # the guess's interior nodes that fit; (u*, v*) from there to the pin
         n = min(x.size, initial_guess.x_nodes.size) - 1
-        phi = np.full(x.size, eq.u_star)
-        psi = np.full(x.size, eq.v_star)
-        phi[:n], psi[:n] = initial_guess.phi[:n], initial_guess.psi[:n]
+        w = np.full((2, x.size), w_star)
+        w[0, :n], w[1, :n] = initial_guess.phi[:n], initial_guess.psi[:n]
     else:
-        phi = eq.u_star * np.tanh(x)
-        psi = eq.v_star * np.tanh(x)
-        phi[0] = psi[0] = 0.0
-        phi[-1], psi[-1] = eq.u_star, eq.v_star
+        w = w_star * np.tanh(x)
+        w[:, 0] = 0.0
+        w[:, -1] = w_star[:, 0]
 
     stop = _STOP_ROUNDING * max(params.d1 * eq.u_star, params.d2 * eq.v_star) / (dx * dx)
-    phi, psi, res, sens, steps = _newton(phi, psi, c, nl, params, dx, stop)
+    w, res, sens, steps = _newton(w, c, nl, params, dx, stop)
     if res > _RESIDUAL_TOL:
         if warm:  # bad warm start: fall back to the cold path once
             cold = solve_semiwave(c, nl, params, num, eq, cs, None)
@@ -406,24 +402,25 @@ def solve_semiwave(c: float, nl: Nonlinearity, params: ModelParams,
         raise NoConvergence(_MAX_NEWTON, f"steady residual {res:.2e}")
 
     # roundoff guard: Newton may leave values a few ulp outside [0, w*]
-    np.clip(phi, 0.0, eq.u_star, out=phi)
-    np.clip(psi, 0.0, eq.v_star, out=psi)
-    phi[0] = psi[0] = 0.0
-    _validate_profile(phi, psi, eq.u_star, eq.v_star)
+    np.clip(w, 0.0, w_star, out=w)
+    w[:, 0] = 0.0
+    _validate_profile(w, eq.u_star, eq.v_star)
+    s = np.zeros_like(w)
+    s[:, 1:-1] = sens
 
     return SemiWaveProfile(
         c=float(c),
         x_nodes=x,
-        phi=phi,
-        psi=psi,
-        slope0_phi=_one_sided_slope(phi, dx),
-        slope0_psi=_one_sided_slope(psi, dx),
+        phi=w[0],
+        psi=w[1],
+        slope0_phi=_one_sided_slope(w[0], dx),
+        slope0_psi=_one_sided_slope(w[1], dx),
         residual_inf=float(res),
         x_max=x_max,
         newton_steps=steps,
         cold=not warm,
-        dphi_dc=np.concatenate(([0.0], sens[0::2], [0.0])),
-        dpsi_dc=np.concatenate(([0.0], sens[1::2], [0.0])),
+        dphi_dc=s[0],
+        dpsi_dc=s[1],
     )
 
 

@@ -132,3 +132,22 @@ def test_tail_rate_truncation_on_random_spreading_sets(**drawn):
     pair, prof = find_c0(nl, params)
     wide, _ = find_c0(nl, params, SemiwaveNumerics(x_max=3.0 * prof.x_max))
     assert abs(pair.c0 / wide.c0 - 1.0) <= 2e-10
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, phases=_NO_SHRINK)
+@given(**_spreading_sets)
+def test_swapping_the_components_swaps_the_profile(**drawn):
+    # (phi, psi) of a model is (psi, phi) of the model with the components
+    # swapped, and c0 is the same; on the symmetric set phi == psi, so only
+    # an asymmetric set can see a component mix-up
+    params, nl = _model(**drawn)
+    eq = compute_equilibrium(nl, params)
+    gp = drawn["r0"] * drawn["a"] * drawn["b"] / drawn["hp"]  # as _model draws it
+    swapped = ModelParams(params.d2, params.d1, params.b, params.a, params.mu2, params.mu1,
+                          params.boundary)
+    pair, prof = find_c0(nl, params)
+    pair_s, prof_s = find_c0(saturating(gp, drawn["gq"], drawn["hp"], drawn["hq"]), swapped)
+    assert abs(pair_s.c0 / pair.c0 - 1.0) <= 1e-12
+    assert prof_s.x_nodes.size == prof.x_nodes.size
+    assert np.max(np.abs(prof_s.phi - prof.psi)) <= 1e-12 * eq.v_star
+    assert np.max(np.abs(prof_s.psi - prof.phi)) <= 1e-12 * eq.u_star

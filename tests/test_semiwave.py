@@ -350,15 +350,27 @@ class TestFreeBoundarySpeed:
         assert 1.5 <= order <= 2.5
 
 
+def reference_steady_residual(phi, psi, c, nl, params, dx):
+    """The steady residual written component by component: the bitwise
+    reference for _steady_residual, which writes it once on [phi; psi]."""
+    d1, d2, a, b = params.d1, params.d2, params.a, params.b
+    lap_phi = (phi[:-2] - 2.0 * phi[1:-1] + phi[2:]) / (dx * dx)
+    lap_psi = (psi[:-2] - 2.0 * psi[1:-1] + psi[2:]) / (dx * dx)
+    adv_phi = (phi[2:] - phi[:-2]) / (2.0 * dx)
+    adv_psi = (psi[2:] - psi[:-2]) / (2.0 * dx)
+    r_phi = d1 * lap_phi - c * adv_phi - a * phi[1:-1] + nl.H(psi[1:-1])
+    r_psi = d2 * lap_psi - c * adv_psi - b * psi[1:-1] + nl.G(phi[1:-1])
+    return r_phi, r_psi
+
+
 class TestNewton:
     """The hand-filled dgbsv band buffer and the work of the damped Newton."""
 
     @staticmethod
-    def _interleaved(phi, psi, c, nl, p, dx):
-        r_phi, r_psi = semiwave._steady_residual(phi, psi, c, nl, p, dx)
-        r = np.empty(2 * r_phi.size)
-        r[0::2], r[1::2] = r_phi, r_psi
-        return r
+    def _interleaved(w, c, nl, p, dx):
+        """The residual in the band solver's order (phi_1, psi_1, phi_2, ...)."""
+        r, _ = semiwave._steady_residual(w, c, nl, p, dx)
+        return r.T.reshape(-1)
 
     @pytest.fixture
     def small_system(self):
@@ -368,38 +380,45 @@ class TestNewton:
         eq = compute_equilibrium(nl, p)
         c, dx = 0.3, 0.25
         x = np.linspace(0.0, 20 * dx, 21)
-        phi = eq.u_star * np.tanh(0.8 * x)
-        psi = eq.v_star * np.tanh(1.3 * x) ** 2
+        w = np.stack((eq.u_star * np.tanh(0.8 * x), eq.v_star * np.tanh(1.3 * x) ** 2))
         m = x.size - 2
         band = semiwave._bands(m, c, p, dx)
         ab = np.empty_like(band, order="F")
-        semiwave._jacobian(ab, band, phi, psi, nl)
+        semiwave._jacobian(ab, band, w, nl)
         dense = np.zeros((2 * m, 2 * m))
         for i in range(2 * m):
             for j in range(max(0, i - 2), min(2 * m, i + 3)):
                 dense[i, j] = ab[4 + i - j, j]
-        return p, nl, c, dx, phi, psi, ab, dense
+        return p, nl, c, dx, w, ab, dense
+
+    @pytest.mark.parametrize("c", [0.0, 0.3, 1.5])
+    def test_stacked_residual_matches_per_component_reference(self, small_system, c):
+        p, nl, _, dx, w, _, _ = small_system
+        r, grad = semiwave._steady_residual(w, c, nl, p, dx)
+        r_phi, r_psi = reference_steady_residual(w[0].copy(), w[1].copy(), c, nl, p, dx)
+        assert np.array_equal(r[0], r_phi) and np.array_equal(r[1], r_psi)
+        for row, g in zip(w, grad):
+            assert np.array_equal(g, (row[2:] - row[:-2]) / (2.0 * dx))
 
     def test_band_layout_matches_finite_difference_jacobian(self, small_system):
-        p, nl, c, dx, phi, psi, _, dense = small_system
-        m = phi.size - 2
+        p, nl, c, dx, w, _, dense = small_system
+        m = w.shape[1] - 2
         fd = np.empty_like(dense)
         h = 1e-6
         for k in range(2 * m):
-            w = phi if k % 2 == 0 else psi
-            node = 1 + k // 2
+            node = (k % 2, 1 + k // 2)
             saved = w[node]
             w[node] = saved + h
-            r_plus = self._interleaved(phi, psi, c, nl, p, dx)
+            r_plus = self._interleaved(w, c, nl, p, dx)
             w[node] = saved - h
-            r_minus = self._interleaved(phi, psi, c, nl, p, dx)
+            r_minus = self._interleaved(w, c, nl, p, dx)
             w[node] = saved
             fd[:, k] = (r_plus - r_minus) / (2.0 * h)
         assert np.max(np.abs(dense - fd)) <= 1e-6 * np.max(np.abs(fd))
 
     def test_gbsv_step_matches_dense_solve(self, small_system):
-        p, nl, c, dx, phi, psi, ab, dense = small_system
-        r = self._interleaved(phi, psi, c, nl, p, dx)
+        p, nl, c, dx, w, ab, dense = small_system
+        r = self._interleaved(w, c, nl, p, dx)
         _, _, delta, info = semiwave.dgbsv(2, 2, ab, -r, overwrite_ab=1, overwrite_b=1)
         assert info == 0
         want = np.linalg.solve(dense, -r)
@@ -407,10 +426,10 @@ class TestNewton:
 
     def test_decrease_beyond_saturation_tol_rejected(self):
         ok = np.array([0.0, 0.5, 1.0, 1.0 - 2e-16, 1.0])  # a rounding dip at w* = 1
-        semiwave._validate_profile(ok, ok, 1.0, 1.0)
+        semiwave._validate_profile(np.stack((ok, ok)), 1.0, 1.0)
         bad = np.array([0.0, 0.5, 1.0, 1.0 - 1e-10, 1.0])
         with pytest.raises(SolverError, match="phi not monotone"):
-            semiwave._validate_profile(bad, ok, 1.0, 1.0)
+            semiwave._validate_profile(np.stack((bad, ok)), 1.0, 1.0)
 
     def test_failed_band_solve_fails_the_profile(self, s1_nl, s1_neumann, s1_eq, monkeypatch):
         gbsv = semiwave.dgbsv
@@ -431,7 +450,7 @@ class TestNewton:
 
         def recording(*args):
             out = newton(*args)
-            exits.append((out[2], args[-1]))
+            exits.append((out[1], args[-1]))
             return out
 
         monkeypatch.setattr(semiwave, "_newton", recording)
