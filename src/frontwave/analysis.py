@@ -286,13 +286,15 @@ def _head_ingredients(profile: SemiWaveProfile):
     return min_phi_p, min_psi_p, phi1, psi1
 
 
-def _ratio_slope_max(f, df, z_lo: float, z_hi: float, n: int = 2048) -> float:
-    """max over [z_lo, z_hi] of d/dz (f(z)/z); negative for concave f."""
+def _ratio_slope_max(p: float, q: float, z_lo: float, z_hi: float) -> float:
+    """max over [z_lo, z_hi] of d/dz (f(z)/z) for f(z) = p*z/(1+q*z).
+
+    The slope is -p*q/(1+q*z)^2, increasing in z, so the maximum sits at
+    z_hi; it is negative when q > 0 and 0 for a linear f.
+    """
     if not (0.0 < z_lo < z_hi):
         raise Infeasible(f"degenerate bound interval [{z_lo:.3g}, {z_hi:.3g}]")
-    z = np.linspace(z_lo, z_hi, n)
-    vals = (z * np.asarray(df(z), dtype=float) - np.asarray(f(z), dtype=float)) / (z * z)
-    return float(np.max(vals))
+    return -p * q / (1.0 + q * z_hi) ** 2
 
 
 def supersolution_slacks(profile: SemiWaveProfile, params: ModelParams,
@@ -304,8 +306,8 @@ def supersolution_slacks(profile: SemiWaveProfile, params: ModelParams,
     large side of every constraint.
     """
     min_phi_p, min_psi_p, phi1, psi1 = _head_ingredients(profile)
-    B_psi = _ratio_slope_max(nl.H, nl.dH, psi1, 2.0 * eq.v_star)
-    B_phi = _ratio_slope_max(nl.G, nl.dG, phi1, 2.0 * eq.u_star)
+    B_psi = _ratio_slope_max(nl.hp, nl.hq, psi1, 2.0 * eq.v_star)
+    B_phi = _ratio_slope_max(nl.gp, nl.gq, phi1, 2.0 * eq.u_star)
     c0 = profile.c
     return {
         "front": sigma * delta - c0 * K,
@@ -328,8 +330,8 @@ def supersolution_feasibility(profile: SemiWaveProfile, params: ModelParams,
     min_phi_p, min_psi_p, phi1, psi1 = _head_ingredients(profile)
     if min_phi_p <= 0.0 or min_psi_p <= 0.0:
         raise Infeasible("profile slopes not positive on [0, 1]")
-    B_psi = _ratio_slope_max(nl.H, nl.dH, psi1, 2.0 * eq.v_star)
-    B_phi = _ratio_slope_max(nl.G, nl.dG, phi1, 2.0 * eq.u_star)
+    B_psi = _ratio_slope_max(nl.hp, nl.hq, psi1, 2.0 * eq.v_star)
+    B_phi = _ratio_slope_max(nl.gp, nl.gq, phi1, 2.0 * eq.u_star)
     if B_psi >= 0.0 or B_phi >= 0.0:
         raise Infeasible(f"concavity bounds not negative: {B_psi:.3g}, {B_phi:.3g}")
     delta = 0.5 * min((-psi1 * psi1 * B_psi) / (K * eq.u_star),
@@ -354,8 +356,8 @@ def lowersolution_feasibility(profile: SemiWaveProfile, params: ModelParams,
     min_phi_p, min_psi_p, phi1, psi1 = _head_ingredients(profile)
     if min_phi_p <= 0.0 or min_psi_p <= 0.0:
         raise Infeasible("profile slopes not positive on [0, 1]")
-    C_psi = _ratio_slope_max(nl.H, nl.dH, 0.5 * psi1, eq.v_star)
-    C_phi = _ratio_slope_max(nl.G, nl.dG, 0.5 * phi1, eq.u_star)
+    C_psi = _ratio_slope_max(nl.hp, nl.hq, 0.5 * psi1, eq.v_star)
+    C_phi = _ratio_slope_max(nl.gp, nl.gq, 0.5 * phi1, eq.u_star)
     if C_psi >= 0.0 or C_phi >= 0.0:
         raise Infeasible(f"concavity bounds not negative: {C_psi:.3g}, {C_phi:.3g}")
     c0 = profile.c

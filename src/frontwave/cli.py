@@ -13,6 +13,7 @@ import hashlib
 import math
 import os
 import sys
+from dataclasses import asdict
 
 from . import analysis, fbsolver, model, semiwave
 from .config import (
@@ -197,28 +198,19 @@ def cmd_sweep(cfg: RunConfig, outdir: str, args) -> list:
 
 
 def cmd_check(cfg: RunConfig) -> int:
+    """Build what the commands build, then check the hypotheses and initial data."""
     nl = build_nonlinearity(cfg)
     params = build_params(cfg)
-    report = model.check_hypotheses(nl, params, z_max=100.0)
-    init_report = None
+    build_solver_numerics(cfg)
+    build_semiwave_numerics(cfg)
+    build_stop(cfg)
+    hypotheses = model.check_hypotheses(nl, params)
+    init = None
     if cfg.get("init.h0") or cfg.get("init.table"):
-        init = build_initial_data(cfg)
-        init_report = model.validate_initial_data(init, params)
-    payload = {
-        "hypotheses": {
-            "passed": report.passed,
-            "clauses": report.clauses,
-            "z_hat": report.z_hat,
-            "weak": report.weak,
-        },
-        "initial_data": None if init_report is None else {
-            "passed": init_report.passed,
-            "violations": [list(v) for v in init_report.violations],
-        },
-    }
-    sys.stdout.write(json_dumps(payload))
-    ok = report.passed and (init_report is None or init_report.passed)
-    return EXIT_OK if ok else EXIT_MODEL
+        init = model.validate_initial_data(build_initial_data(cfg), params)
+    sys.stdout.write(json_dumps({"hypotheses": asdict(hypotheses),
+                                 "initial_data": None if init is None else asdict(init)}))
+    return EXIT_OK if hypotheses.passed and (init is None or init.passed) else EXIT_MODEL
 
 
 def _build_parser() -> argparse.ArgumentParser:

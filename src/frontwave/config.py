@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .fbsolver import SolverNumerics, StopRule
-from .model import BoundaryKind, InitialData, ModelParams, Nonlinearity, cholera, saturating
+from .model import BoundaryKind, InitialData, ModelParams, Nonlinearity
 from .semiwave import SemiwaveNumerics
 from ._format import fmt
 
@@ -125,21 +125,16 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 
 def build_nonlinearity(cfg: RunConfig) -> Nonlinearity:
+    """The reaction pair; ``cholera`` spells hp = nonlinearity.c, hq = 0."""
     name = cfg.get("nonlinearity.name", "saturating")
     if name == "saturating":
-        return saturating(
-            hp=cfg.getfloat("nonlinearity.hp", 2.0),
-            hq=cfg.getfloat("nonlinearity.hq", 1.0),
-            gp=cfg.getfloat("nonlinearity.gp", 2.0),
-            gq=cfg.getfloat("nonlinearity.gq", 1.0),
-        )
-    if name == "cholera":
-        return cholera(
-            c=cfg.getfloat("nonlinearity.c", 1.0),
-            gp=cfg.getfloat("nonlinearity.gp", 2.0),
-            gq=cfg.getfloat("nonlinearity.gq", 1.0),
-        )
-    raise ConfigError(f"unknown nonlinearity {name!r}")
+        hp, hq = cfg.getfloat("nonlinearity.hp", 2.0), cfg.getfloat("nonlinearity.hq", 1.0)
+    elif name == "cholera":
+        hp, hq = cfg.getfloat("nonlinearity.c", 1.0), 0.0
+    else:
+        raise ConfigError(f"unknown nonlinearity {name!r}")
+    return Nonlinearity(hp=hp, hq=hq, gp=cfg.getfloat("nonlinearity.gp", 2.0),
+                        gq=cfg.getfloat("nonlinearity.gq", 1.0))
 
 
 def build_params(cfg: RunConfig) -> ModelParams:

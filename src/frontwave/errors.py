@@ -50,10 +50,6 @@ class SolverError(FrontwaveError):
     """Numerical machinery failed; the underlying problem is well posed."""
 
 
-class BracketingFailure(SolverError):
-    """Root bracket expansion never found a sign change."""
-
-
 class NoConvergence(SolverError):
     def __init__(self, iterations: int, detail: str = ""):
         self.iterations = iterations

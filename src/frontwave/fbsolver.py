@@ -9,10 +9,10 @@ xi = x / h(t), turning the system into
 
 with u = v = 0 at xi = 1 and the configured operator at xi = 0. The
 explicit part of a step is the Stefan flux (model._one_sided_slope on the
-reversed fields, the stencil the semi-wave slope extraction uses, so
-simulated and semi-wave speeds share discretization bias), the front
-update, advection and reaction; the implicit part is diffusion, evaluated
-on the advanced front. The stepper carries the state as one array
+reversed fields, the semi-wave's slope stencil on another grid: the cell
+h/n grows with the front, and the speed's O(cell^2) bias with it), the
+front update, advection and reaction; the implicit part is diffusion,
+evaluated on the advanced front. The stepper carries the state as one array
 w = [u; v], so one tridiagonal solve covers both components: the two
 systems stacked, with zero coupling at the junction, by LAPACK gtsv called
 directly on band buffers the stepper allocates once. Neumann at xi = 0

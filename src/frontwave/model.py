@@ -1,22 +1,23 @@
 """Model data and closed-form derived quantities.
 
 The reaction pair couples a bacteria density u and an infective density v
-through u_t = d1*u_xx - a*u + H(v), v_t = d2*v_xx - b*v + G(u). The pair
-(H, G) is strictly increasing, strictly concave, vanishes at 0, and
-saturates: G(H(z)/a) < b*z for some z > 0.
+through u_t = d1*u_xx - a*u + H(v), v_t = d2*v_xx - b*v + G(u), with
+H(z) = hp*z/(1+hq*z) and G(z) = gp*z/(1+gq*z). The structure hypotheses
+on the pair (it vanishes at 0, increases, is concave and saturates:
+G(H(z)/a) < b*z for some z > 0) are conditions on the four coefficients.
 
 Closed forms implemented here:
 
-* reproduction number  R0 = H'(0) G'(0) / (a b); spreading needs R0 > 1
-* equilibrium (u*, v*): the unique positive root of a*u = H(v), b*v = G(u)
+* reproduction number  R0 = hp gp / (a b); spreading needs R0 > 1
+* equilibrium (u*, v*): u* = (hp gp - a b) / (a (b gq + gp hq)), v* = G(u*)/b
 * threshold habitat length
-      l0 = pi * sqrt( (a d2 + b d1 + sqrt((a d2 - b d1)^2 + 4 d1 d2 H'(0)G'(0)))
-                      / (2 (H'(0)G'(0) - a b)) )
+      l0 = pi * sqrt( (a d2 + b d1 + sqrt((a d2 - b d1)^2 + 4 d1 d2 hp gp))
+                      / (2 (hp gp - a b)) )
   for a Dirichlet fixed boundary, and half of that for Neumann.
 
 The one scalar root-finder, Newton's method in a sign bracket, solves for
-v* here and for lambda*, beta(c) and c0 in semiwave; the one least-squares
-line fits the front speed and the log-linear decay rates.
+lambda*, beta(c) and c0 in semiwave; the one least-squares line fits the
+front speed and the log-linear decay rates.
 
 All types are frozen dataclasses; operations are pure and thread-safe.
 """
@@ -30,13 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    BracketingFailure,
-    InvalidRegime,
-    NonFinite,
-    NoConvergence,
-    NoPositiveRoot,
-)
+from .errors import InvalidRegime, NonFinite, NoConvergence, NoPositiveRoot, SolverError
 
 __all__ = [
     "BoundaryKind",
@@ -46,8 +41,6 @@ __all__ = [
     "InitialData",
     "HypothesisReport",
     "ValidationReport",
-    "saturating",
-    "cholera",
     "check_hypotheses",
     "compute_R0",
     "compute_equilibrium",
@@ -65,66 +58,38 @@ class BoundaryKind(str, Enum):
 
 @dataclass(frozen=True)
 class Nonlinearity:
-    """Reaction pair (H, G) with analytic first and second derivatives.
+    """Reaction pair H(z) = hp*z/(1+hq*z), G(z) = gp*z/(1+gq*z).
 
-    Derivatives are required inputs rather than finite-differenced: they feed
-    the minimal-speed tangency, the threshold length and the decay rates,
-    where differencing noise would corrupt tangency detection. All callables
-    must accept scalars or numpy arrays of nonnegative arguments.
-
-    ``weak_h`` / ``weak_g`` admit a linear component (second derivative
-    identically zero, e.g. the cholera variant H(v) = c*v); the strict
-    concavity clause is then relaxed to <= 0 for that component.
+    The one family the package runs; hq = 0 is the cholera variant, a
+    linear H(v) = hp*v. hp = H'(0) and gp = G'(0) must be positive and hq,
+    gq nonnegative, so every structure hypothesis is a condition on the four
+    coefficients (check_hypotheses). The defaults with a = b = 1 are the
+    symmetric benchmark: equilibrium (1, 1), R0 = 4. The methods take
+    scalars or numpy arrays of nonnegative arguments.
     """
 
-    name: str
-    H: Callable
-    G: Callable
-    dH: Callable
-    dG: Callable
-    d2H: Callable
-    d2G: Callable
-    weak_h: bool = False
-    weak_g: bool = False
+    hp: float = 2.0
+    hq: float = 1.0
+    gp: float = 2.0
+    gq: float = 1.0
 
+    def __post_init__(self):
+        # written as not (...) so that NaN fails too
+        if not (0 < self.hp < math.inf and 0 < self.gp < math.inf
+                and 0 <= self.hq < math.inf and 0 <= self.gq < math.inf):
+            raise ValueError("reaction pair needs finite hp, gp > 0 and hq, gq >= 0")
 
-def saturating(hp: float = 2.0, hq: float = 1.0, gp: float = 2.0, gq: float = 1.0) -> Nonlinearity:
-    """Saturating pair H(z) = hp*z/(1+hq*z), G(z) = gp*z/(1+gq*z).
+    def H(self, z):
+        return self.hp * z / (1.0 + self.hq * z)
 
-    The package default; hp=gp=2, hq=gq=1 with a=b=1 is the symmetric
-    benchmark scenario (equilibrium at (1,1), R0=4).
-    """
-    if not all(0 < x < math.inf for x in (hp, hq, gp, gq)):
-        raise ValueError("saturating pair needs positive finite coefficients")
-    return Nonlinearity(
-        name="saturating",
-        H=lambda z: hp * z / (1.0 + hq * z),
-        G=lambda z: gp * z / (1.0 + gq * z),
-        dH=lambda z: hp / (1.0 + hq * z) ** 2,
-        dG=lambda z: gp / (1.0 + gq * z) ** 2,
-        d2H=lambda z: -2.0 * hp * hq / (1.0 + hq * z) ** 3,
-        d2G=lambda z: -2.0 * gp * gq / (1.0 + gq * z) ** 3,
-    )
+    def G(self, z):
+        return self.gp * z / (1.0 + self.gq * z)
 
+    def dH(self, z):
+        return self.hp / (1.0 + self.hq * z) ** 2
 
-def cholera(c: float = 1.0, gp: float = 2.0, gq: float = 1.0) -> Nonlinearity:
-    """Cholera variant: linear H(v) = c*v with a saturating G.
-
-    H'' is identically zero, so the pair only weakly satisfies the structure
-    hypotheses; the report records this and downstream callers decide.
-    """
-    if not all(0 < x < math.inf for x in (c, gp, gq)):
-        raise ValueError("cholera variant needs positive finite coefficients")
-    return Nonlinearity(
-        name="cholera",
-        H=lambda z: c * np.asarray(z, dtype=float) * 1.0,
-        G=lambda z: gp * z / (1.0 + gq * z),
-        dH=lambda z: c * np.ones_like(np.asarray(z, dtype=float)),
-        dG=lambda z: gp / (1.0 + gq * z) ** 2,
-        d2H=lambda z: np.zeros_like(np.asarray(z, dtype=float)),
-        d2G=lambda z: -2.0 * gp * gq / (1.0 + gq * z) ** 3,
-        weak_h=True,
-    )
+    def dG(self, z):
+        return self.gp / (1.0 + self.gq * z) ** 2
 
 
 @dataclass(frozen=True)
@@ -224,78 +189,33 @@ class InitialData:
 # hypothesis checking
 # ---------------------------------------------------------------------------
 
-_CLAUSES = ("origin", "dH_positive", "dG_positive", "d2H_negative", "d2G_negative", "saturation")
-
-
 @dataclass(frozen=True)
 class HypothesisReport:
-    """Per-clause verdicts of the structure hypotheses on a sampled grid."""
+    """Per-clause verdicts of the structure hypotheses."""
 
     passed: bool
     clauses: dict
-    min_dH: float
-    min_dG: float
-    max_d2H: float
-    max_d2G: float
-    z_hat: float | None
-    weak: bool
-    failures: tuple
+    weak: bool  # a linear component: concave, but not strictly
 
 
-def check_hypotheses(nl: Nonlinearity, params: ModelParams, z_max: float) -> HypothesisReport:
-    """Verify the structure hypotheses on 512 log-spaced samples of [1e-8, z_max].
+def check_hypotheses(nl: Nonlinearity, params: ModelParams) -> HypothesisReport:
+    """The structure hypotheses, read off the coefficients.
 
-    Sampled, not symbolic: nonlinearities are supplied as callables. Records
-    the extreme derivative values seen and the smallest sampled z with
-    G(H(z)/a) < b*z, or marks the saturation clause failed.
+    H and G vanish at 0 and increase for every pair Nonlinearity admits.
+    Concavity is strict when hq, gq > 0; a linear component (q = 0) is only
+    weakly concave. Saturation, G(H(z)/a) < b*z for some z > 0, holds when
+    hq + gq > 0, since G(H(z)/a) is then bounded; for the linear pair
+    G(H(z)/a) = R0*b*z, so it holds exactly when R0 < 1.
     """
-    if z_max <= 0:
-        raise ValueError("z_max must be positive")
-    z = np.geomspace(1e-8, z_max, 512)
-
-    h0 = float(nl.H(0.0))
-    g0 = float(nl.G(0.0))
-    origin_ok = h0 == 0.0 and g0 == 0.0
-
-    dh = np.asarray(nl.dH(np.concatenate(([0.0], z))), dtype=float)
-    dg = np.asarray(nl.dG(np.concatenate(([0.0], z))), dtype=float)
-    min_dH = float(dh.min())
-    min_dG = float(dg.min())
-
-    d2h = np.asarray(nl.d2H(z), dtype=float)
-    d2g = np.asarray(nl.d2G(z), dtype=float)
-    max_d2H = float(d2h.max())
-    max_d2G = float(d2g.max())
-    conc_h_ok = max_d2H <= 0.0 if nl.weak_h else max_d2H < 0.0
-    conc_g_ok = max_d2G <= 0.0 if nl.weak_g else max_d2G < 0.0
-
-    sat = np.asarray(nl.G(np.asarray(nl.H(z)) / params.a), dtype=float) < params.b * z
-    z_hat = float(z[np.argmax(sat)]) if bool(sat.any()) else None
-
-    clauses = {
-        "origin": origin_ok,
-        "dH_positive": min_dH > 0.0,
-        "dG_positive": min_dG > 0.0,
-        "d2H_negative": conc_h_ok,
-        "d2G_negative": conc_g_ok,
-        "saturation": z_hat is not None,
-    }
-    failures = tuple(name for name in _CLAUSES if not clauses[name])
-    return HypothesisReport(
-        passed=not failures,
-        clauses=clauses,
-        min_dH=min_dH,
-        min_dG=min_dG,
-        max_d2H=max_d2H,
-        max_d2G=max_d2G,
-        z_hat=z_hat,
-        weak=nl.weak_h or nl.weak_g,
-        failures=failures,
-    )
+    saturation = nl.hq + nl.gq > 0.0 or compute_R0(nl, params) < 1.0
+    clauses = {"origin": True, "dH_positive": True, "dG_positive": True,
+               "d2H_negative": True, "d2G_negative": True, "saturation": saturation}
+    return HypothesisReport(passed=saturation, clauses=clauses,
+                            weak=nl.hq == 0.0 or nl.gq == 0.0)
 
 
 # ---------------------------------------------------------------------------
-# the scalar root-finder (v*, lambda*, beta, c0), the line fit and the closed forms
+# the scalar root-finder (lambda*, beta, c0), the line fit and the closed forms
 # ---------------------------------------------------------------------------
 
 def _newton_root(fdf: Callable[[float], tuple[float, float]], x: float, lo: float,
@@ -306,11 +226,14 @@ def _newton_root(fdf: Callable[[float], tuple[float, float]], x: float, lo: floa
     ``fdf(x)`` returns (f(x), f'(x)). The bracket [lo, hi] follows the signs
     of f seen so far; its ends need not be evaluated. An iterate outside the
     bracket, or f' >= 0, is replaced by the bracket's midpoint, so f need not
-    be monotone. Returns (x, f(x)) at the last evaluated x once the next step
-    is at most xtol and |f| at most ftol, or once a step no longer moves x.
-    Raises NonFinite on a non-finite f or f', and NoConvergence after
-    maxiter evaluations.
+    be monotone. So is a step longer than half the step before last
+    (Numerical Recipes' rtsafe): once rounding noise in f dominates, Newton
+    steps stop shrinking and would only nibble at the bracket. Returns
+    (x, f(x)) at the last evaluated x once the next step is at most xtol and
+    |f| at most ftol, or once a step no longer moves x. Raises NonFinite on
+    a non-finite f or f', and NoConvergence after maxiter evaluations.
     """
+    step = step_old = math.inf
     for _ in range(maxiter):
         f, df = fdf(x)
         if not (math.isfinite(f) and math.isfinite(df)):
@@ -324,10 +247,11 @@ def _newton_root(fdf: Callable[[float], tuple[float, float]], x: float, lo: floa
             hi = x
         x_next = x + dx
         # x is a bracket end now: a step that rounds back onto it ends below
-        if not lo < x_next < hi and x_next != x:  # NaN included
+        if x_next != x and not (lo < x_next < hi and abs(dx) <= 0.5 * step_old):  # NaN included
             x_next = 0.5 * (lo + hi)
         if x_next == x:
             return x, f
+        step, step_old = abs(x_next - x), step
         x = x_next
     raise NoConvergence(maxiter, f"Newton root-find, next iterate {x!r}")
 
@@ -347,42 +271,32 @@ def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, np.nda
 
 def compute_R0(nl: Nonlinearity, params: ModelParams) -> float:
     """Basic reproduction number H'(0) G'(0) / (a b)."""
-    return float(nl.dH(0.0)) * float(nl.dG(0.0)) / (params.a * params.b)
+    return nl.hp * nl.gp / (params.a * params.b)
 
 
 def compute_equilibrium(nl: Nonlinearity, params: ModelParams) -> Equilibrium:
-    """Positive root of a*u = H(v), b*v = G(u) by Newton's method.
+    """Positive root of a*u = H(v), b*v = G(u), in closed form.
 
-    f(v) = G(H(v)/a) - b*v is positive near 0 when R0 > 1, negative for large
-    v by the saturation clause, and concave, so Newton's method from the
-    right needs no lower end. The start doubles from 1 while f > 0 (a root at
-    a doubling point returns at once). Both residuals come out <= 1e-12.
+    Eliminating v leaves a*b + a*(b*gq + gp*hq)*u = hp*gp, so
+    u* = (hp gp - a b) / (a (b gq + gp hq)) and v* = G(u*)/b. The root is
+    positive exactly when R0 > 1 and the pair saturates (hq + gq > 0);
+    otherwise NoPositiveRoot. Both relative residuals must come out
+    <= 1e-12, or SolverError.
     """
     a, b = params.a, params.b
     r0 = compute_R0(nl, params)
     if r0 <= 1.0:
         raise NoPositiveRoot(f"R0 = {r0} <= 1: only the trivial equilibrium exists")
-
-    def fdf(v: float) -> tuple[float, float]:
-        u = float(nl.H(v)) / a
-        return float(nl.G(u)) - b * v, float(nl.dG(u)) * float(nl.dH(v)) / a - b
-
-    hi = 1.0
-    doublings = 0
-    while fdf(hi)[0] > 0.0:
-        hi *= 2.0
-        doublings += 1
-        if doublings > 200:
-            raise BracketingFailure("bracket expansion exhausted without sign change")
-
-    v, _ = _newton_root(fdf, hi, 0.0, hi, 0.0, maxiter=100)
-    u = float(nl.H(v)) / a
-    res_u = abs(a * u - float(nl.H(v))) / max(abs(a * u), 1e-300)
-    res_v = abs(b * v - float(nl.G(u))) / max(abs(b * v), 1e-300)
-    if u <= 0 or v <= 0 or max(res_u, res_v) > 1e-12:
-        raise BracketingFailure(f"equilibrium residuals too large: {res_u:.2e}, {res_v:.2e}")
-    return Equilibrium(u_star=u, v_star=v,
-                       Hp_vstar=float(nl.dH(v)), Gp_ustar=float(nl.dG(u)))
+    den = a * (b * nl.gq + nl.gp * nl.hq)
+    if den == 0.0:  # hq = gq = 0, or an underflow
+        raise NoPositiveRoot(f"R0 = {r0} > 1 and a*(b*gq + gp*hq) = 0: the growth never saturates")
+    u = (nl.hp * nl.gp - a * b) / den
+    v = nl.G(u) / b
+    res_u = abs(a * u - nl.H(v)) / max(a * u, 1e-300)
+    res_v = abs(b * v - nl.G(u)) / max(b * v, 1e-300)
+    if not (u > 0.0 and v > 0.0 and res_u <= 1e-12 and res_v <= 1e-12):  # NaN included
+        raise SolverError(f"equilibrium residuals too large: {res_u:.2e}, {res_v:.2e}")
+    return Equilibrium(u_star=u, v_star=v, Hp_vstar=nl.dH(v), Gp_ustar=nl.dG(u))
 
 
 def compute_l0(nl: Nonlinearity, params: ModelParams) -> float:
@@ -390,7 +304,7 @@ def compute_l0(nl: Nonlinearity, params: ModelParams) -> float:
 
     Neumann value is exactly half the Dirichlet value.
     """
-    k = float(nl.dH(0.0)) * float(nl.dG(0.0))
+    k = nl.hp * nl.gp
     ab = params.a * params.b
     if k <= ab:
         raise InvalidRegime("H'(0)G'(0) <= a*b: threshold length undefined")

@@ -171,7 +171,7 @@ def compute_cstar(nl: Nonlinearity, params: ModelParams) -> tuple[float, float]:
     model._newton_root finds the root of f to the last bit; c* = c(lambda*).
     A minimum at an end of the scan raises NoTangency.
     """
-    k = float(nl.dH(0.0)) * float(nl.dG(0.0))
+    k = nl.hp * nl.gp
     d1, d2, a, b = params.d1, params.d2, params.a, params.b
     if k <= a * b:
         raise NoTangency("reproduction number at or below 1: no positive growth mode")

@@ -1,13 +1,13 @@
 import pytest
 
-from frontwave.model import ModelParams, compute_equilibrium, saturating
+from frontwave.model import ModelParams, Nonlinearity, compute_equilibrium
 from frontwave.semiwave import find_c0
 
 
 @pytest.fixture(scope="session")
 def s1_nl():
     # symmetric benchmark: H(z) = G(z) = 2z/(1+z), unit rates and diffusivities
-    return saturating(2.0, 1.0, 2.0, 1.0)
+    return Nonlinearity(2.0, 1.0, 2.0, 1.0)
 
 
 @pytest.fixture(scope="session")

@@ -212,16 +212,14 @@ class TestComparisonFunctionSystems:
                                        2.0, point.sigma, point.delta)
         assert all(doubled[k] < base[k] for k in base)
 
-    def test_convex_reaction_is_infeasible(self, s1_c0, s1_neumann, s1_eq):
+    def test_linear_reaction_is_infeasible(self, s1_c0, s1_neumann, s1_eq):
+        # hq = 0: H(z)/z is flat, so its ratio-slope bound is 0, not negative
         _, prof = s1_c0
-        sq = lambda z: np.asarray(z, dtype=float) ** 2
-        convex = Nonlinearity(name="convex", H=sq, G=sq,
-                              dH=lambda z: 2.0 * np.asarray(z, dtype=float),
-                              dG=lambda z: 2.0 * np.asarray(z, dtype=float),
-                              d2H=lambda z: 2.0 + 0.0 * np.asarray(z, dtype=float),
-                              d2G=lambda z: 2.0 + 0.0 * np.asarray(z, dtype=float))
+        linear_h = Nonlinearity(hq=0.0)
         with pytest.raises(Infeasible):
-            supersolution_feasibility(prof, s1_neumann, convex, s1_eq)
+            supersolution_feasibility(prof, s1_neumann, linear_h, s1_eq)
+        with pytest.raises(Infeasible):
+            lowersolution_feasibility(prof, s1_neumann, linear_h, s1_eq)
 
     def test_lowersolution_all_slacks_positive(self, s1_c0, s1_nl, s1_neumann, s1_eq):
         _, prof = s1_c0

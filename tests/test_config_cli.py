@@ -144,6 +144,26 @@ class TestSpeedsCommand:
         err = capsys.readouterr().err
         assert "ValueError: numerics.dx_semiwave" in err and "x_max" in err
 
+    def test_near_threshold_set_converges(self, tmp_path):
+        # R0 = 1.0014: rounding noise in the lambda* residual once held each
+        # Newton step just inside the bracket until the iterations ran out
+        cfg = write_cfg(tmp_path / "near.cfg", (
+            "model.d1 = 0.24285207520240037\nmodel.d2 = 3.6915333513192103\n"
+            "model.a = 0.49772946166634524\nmodel.b = 2.2472431346507413\n"
+            "nonlinearity.hp = 1.84596830073014\nnonlinearity.gp = 0.6067480714863089\n"))
+        assert main(["speeds", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+    def test_cholera_is_saturating_with_linear_h(self, tmp_path):
+        base = "model.d2 = 2.0\nmodel.b = 1.5\nnonlinearity.gq = 0.5\n"
+        cholera = write_cfg(tmp_path / "ch.cfg",
+                            base + "nonlinearity.name = cholera\nnonlinearity.c = 1.5\n")
+        linear_h = write_cfg(tmp_path / "lin.cfg",
+                             base + "nonlinearity.hp = 1.5\nnonlinearity.hq = 0\n")
+        for cfg, out in ((cholera, "a"), (linear_h, "b")):
+            assert main(["speeds", "--config", cfg, "--out", str(tmp_path / out)]) == 0
+        assert ((tmp_path / "a" / "speeds.json").read_bytes()
+                == (tmp_path / "b" / "speeds.json").read_bytes())
+
     def test_root_finder_failure_exits_3(self, tmp_path, s1_speeds_cfg, monkeypatch):
         # one Newton step cannot reach lambda* (c*) or beta: NoConvergence is a solver failure
         def one_step(*args, **kwargs):
@@ -446,7 +466,9 @@ class TestCheckCommand:
         cfg = write_cfg(tmp_path / "ok.cfg", SIM_NEUMANN)
         assert main(["check", "--config", cfg]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["hypotheses"]["passed"] is True
+        assert payload["hypotheses"] == {"passed": True, "weak": False, "clauses": {
+            "origin": True, "dH_positive": True, "dG_positive": True,
+            "d2H_negative": True, "d2G_negative": True, "saturation": True}}
         assert payload["initial_data"]["passed"] is True
 
     def test_mismatched_shape_exits_2(self, tmp_path, capsys):
@@ -455,3 +477,21 @@ class TestCheckCommand:
         assert main(["check", "--config", cfg]) == 2
         payload = json.loads(capsys.readouterr().out)
         assert payload["initial_data"]["passed"] is False
+
+    def test_equilibrium_beyond_any_sample_range_passes(self, tmp_path, capsys):
+        # v* = 133: saturation is read off the coefficients, not sampled
+        cfg = write_cfg(tmp_path / "b.cfg", SIM_NEUMANN.replace("model.b = 1.0", "model.b = 0.01"))
+        assert main(["check", "--config", cfg]) == 0
+        assert json.loads(capsys.readouterr().out)["hypotheses"]["passed"] is True
+
+    @pytest.mark.parametrize("key, value", [
+        ("numerics.dx_semiwave", "0"),
+        ("numerics.n", "1"),
+        ("stop.t_end", "-1"),
+        ("output.cadence", "0"),
+    ])
+    def test_refuses_what_simulate_refuses(self, tmp_path, key, value):
+        kept = [line for line in SIM_NEUMANN.splitlines() if line.partition("=")[0].strip() != key]
+        cfg = write_cfg(tmp_path / "bad.cfg", "\n".join(kept + [f"{key} = {value}", ""]))
+        assert main(["check", "--config", cfg]) == 2
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2

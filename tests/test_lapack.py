@@ -95,9 +95,9 @@ import hashlib
 {before}
 import frontwave.cli
 from frontwave.fbsolver import SolverNumerics, StopRule, simulate
-from frontwave.model import InitialData, ModelParams, saturating
+from frontwave.model import InitialData, ModelParams, Nonlinearity
 from frontwave.semiwave import find_c0
-nl, p = saturating(), ModelParams(1, 1, 1, 1, 1, 1, "neumann")
+nl, p = Nonlinearity(), ModelParams(1, 1, 1, 1, 1, 1, "neumann")
 pair, prof = find_c0(nl, p)
 trace = simulate(p, nl, InitialData.cosine_bump(2.0, 0.5), SolverNumerics(n=50),
                  StopRule(t_end=2.0))

@@ -6,7 +6,6 @@ from scipy.optimize import brentq
 
 from frontwave import model
 from frontwave.errors import (
-    BracketingFailure,
     InvalidRegime,
     NonFinite,
     NoConvergence,
@@ -19,57 +18,41 @@ from frontwave.model import (
     ModelParams,
     Nonlinearity,
     check_hypotheses,
-    cholera,
     compute_R0,
     compute_equilibrium,
     compute_l0,
-    saturating,
     validate_initial_data,
 )
 
 
 def linear_pair(slope_h=1.0, slope_g=1.0):
-    z0 = lambda z: 0.0 * np.asarray(z, dtype=float)
-    return Nonlinearity(
-        name="linear",
-        H=lambda z: slope_h * np.asarray(z, dtype=float),
-        G=lambda z: slope_g * np.asarray(z, dtype=float),
-        dH=lambda z: slope_h + z0(z),
-        dG=lambda z: slope_g + z0(z),
-        d2H=z0,
-        d2G=z0,
-    )
+    return Nonlinearity(hp=slope_h, hq=0.0, gp=slope_g, gq=0.0)
 
 
 class TestCheckHypotheses:
     def test_saturating_pair_passes_with_witness(self, s1_nl, s1_neumann):
-        report = check_hypotheses(s1_nl, s1_neumann, z_max=10.0)
-        assert report.passed
-        # direct evaluation: G(H(4)/1) = G(1.6) = 3.2/2.6 < 4
-        assert 2.0 * 1.6 / 2.6 < 4.0
-        assert report.z_hat is not None and report.z_hat <= 4.0
-        assert report.min_dH > 0 and report.min_dG > 0
-        assert report.max_d2H < 0 and report.max_d2G < 0
+        report = check_hypotheses(s1_nl, s1_neumann)
+        assert report.passed and not report.weak
+        # a witness of saturation: G(H(4)/1) = G(1.6) = 3.2/2.6 < 4
+        assert s1_nl.G(s1_nl.H(4.0)) < 4.0
 
-    def test_linear_h_fails_concavity(self, s1_neumann):
-        report = check_hypotheses(linear_pair(), s1_neumann, z_max=10.0)
-        assert not report.passed
-        assert "d2H_negative" in report.failures
+    def test_linear_pair_is_weak_and_unsaturated(self, s1_neumann):
+        # G(H(z)/a) = R0 b z: saturation holds exactly when R0 < 1
+        report = check_hypotheses(linear_pair(), s1_neumann)  # R0 = 1
+        assert report.weak and not report.passed
+        assert [k for k, ok in report.clauses.items() if not ok] == ["saturation"]
+        assert check_hypotheses(linear_pair(0.9, 1.0), s1_neumann).passed
 
-    def test_decreasing_g_fails_monotonicity(self, s1_nl, s1_neumann):
-        bad = Nonlinearity(
-            name="bad",
-            H=s1_nl.H, G=lambda z: -np.asarray(z, dtype=float),
-            dH=s1_nl.dH, dG=lambda z: -np.ones_like(np.asarray(z, dtype=float)),
-            d2H=s1_nl.d2H, d2G=lambda z: np.zeros_like(np.asarray(z, dtype=float)),
-        )
-        report = check_hypotheses(bad, s1_neumann, z_max=10.0)
-        assert "dG_positive" in report.failures
+    def test_decreasing_g_fails_monotonicity(self):
+        # the family admits increasing pairs only
+        for bad in (dict(gp=-2.0), dict(gq=-0.5), dict(hq=math.nan), dict(hp=math.inf)):
+            with pytest.raises(ValueError):
+                Nonlinearity(**bad)
 
     def test_cholera_variant_weak_pass(self, s1_neumann):
-        report = check_hypotheses(cholera(c=1.0, gp=2.0, gq=1.0), s1_neumann, z_max=100.0)
+        report = check_hypotheses(Nonlinearity(hp=1.0, hq=0.0, gp=2.0, gq=1.0), s1_neumann)
         assert report.weak
-        assert report.clauses["d2H_negative"]  # relaxed to <= 0 for the linear component
+        assert report.clauses["d2H_negative"]  # H'' = 0: concave, not strictly
         assert report.passed
 
 
@@ -79,37 +62,32 @@ class TestR0:
 
     def test_boundary_case_is_one(self):
         p = ModelParams(1.0, 1.0, 3.0, 5.0, 1.0, 1.0, "neumann")
-        nl = saturating(hp=3.0, gp=5.0)  # dH(0)=a, dG(0)=b
+        nl = Nonlinearity(hp=3.0, gp=5.0)  # dH(0)=a, dG(0)=b
         assert compute_R0(nl, p) == pytest.approx(1.0, abs=1e-12)
 
-    def test_degenerate_zero_slope(self, s1_neumann):
-        z2 = Nonlinearity(
-            name="z2",
-            H=lambda z: np.asarray(z, dtype=float) ** 2, G=lambda z: np.asarray(z, dtype=float),
-            dH=lambda z: 2.0 * np.asarray(z, dtype=float), dG=lambda z: np.ones_like(np.asarray(z, dtype=float)),
-            d2H=lambda z: 2.0 * np.ones_like(np.asarray(z, dtype=float)),
-            d2G=lambda z: np.zeros_like(np.asarray(z, dtype=float)),
-        )
-        assert compute_R0(z2, s1_neumann) == 0.0
+    def test_degenerate_zero_slope(self):
+        # H'(0) = 0 would make R0 = 0: the family refuses it
+        with pytest.raises(ValueError):
+            Nonlinearity(hp=0.0)
 
 
 class TestEquilibrium:
     def test_benchmark_fixed_point(self, s1_nl, s1_neumann):
         eq = compute_equilibrium(s1_nl, s1_neumann)
-        # the first doubling point is the root: f(1) = G(H(1)) - 1 = 0 exactly
+        # u* = (4 - 1) / (1 + 2) and v* = G(1) = 2/2, both exact
         assert (eq.u_star, eq.v_star) == (1.0, 1.0)
         assert eq.Hp_vstar == pytest.approx(0.5, abs=1e-12)
 
     def test_subcritical_raises(self):
         p = ModelParams(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, "neumann")
-        nl = saturating(hp=math.sqrt(0.9), gp=math.sqrt(0.9))  # R0 = 0.9
+        nl = Nonlinearity(hp=math.sqrt(0.9), gp=math.sqrt(0.9))  # R0 = 0.9
         assert compute_R0(nl, p) == pytest.approx(0.9, abs=1e-12)
         with pytest.raises(NoPositiveRoot):
             compute_equilibrium(nl, p)
 
     def test_asymmetric_root_matches_bisection_oracle(self):
         p = ModelParams(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, "neumann")
-        nl = saturating(hp=2.0, hq=1.0, gp=3.0, gq=2.0)
+        nl = Nonlinearity(hp=2.0, hq=1.0, gp=3.0, gq=2.0)
         eq = compute_equilibrium(nl, p)
         # independent root of b v - G(H(v)/a) with a reference solver
         v_ref = brentq(lambda v: v - float(nl.G(float(nl.H(v)))), 1e-6, 10.0,
@@ -122,7 +100,7 @@ class TestEquilibrium:
     def test_supercritical_iff_root_exists(self, hp):
         # R0 > 1 exactly when the positive equilibrium exists
         p = ModelParams(1.0, 2.0, 1.0, 1.5, 1.0, 1.0, "neumann")
-        nl = saturating(hp=hp, gp=1.2)
+        nl = Nonlinearity(hp=hp, gp=1.2)
         r0 = compute_R0(nl, p)
         if r0 > 1.0:
             eq = compute_equilibrium(nl, p)
@@ -130,6 +108,11 @@ class TestEquilibrium:
         else:
             with pytest.raises(NoPositiveRoot):
                 compute_equilibrium(nl, p)
+
+    def test_linear_pair_above_threshold_has_no_root(self, s1_neumann):
+        # a u = 2 v, v = u: growth without saturation, no positive equilibrium
+        with pytest.raises(NoPositiveRoot):
+            compute_equilibrium(linear_pair(2.0, 1.0), s1_neumann)
 
     def test_symmetric_family_is_symmetric(self, s1_nl, s1_neumann):
         eq = compute_equilibrium(s1_nl, s1_neumann)
@@ -150,7 +133,7 @@ class TestThresholdLength:
         (0.5, 0.7, 2.0, 1.0, 4.0, 1.1),
     ])
     def test_dirichlet_is_twice_neumann(self, d1, d2, a, b, hp, gp):
-        nl = saturating(hp=hp, gp=gp)
+        nl = Nonlinearity(hp=hp, gp=gp)
         pd = ModelParams(d1, d2, a, b, 1.0, 1.0, "dirichlet")
         pn = ModelParams(d1, d2, a, b, 1.0, 1.0, "neumann")
         assert compute_l0(nl, pd) == pytest.approx(2.0 * compute_l0(nl, pn), rel=1e-15)
@@ -274,5 +257,5 @@ class TestNewtonRoot:
 
     def test_failures_are_solver_errors(self):
         # the CLI maps SolverError to exit 3
-        for exc in (BracketingFailure, NonFinite, NoConvergence):
+        for exc in (NonFinite, NoConvergence):
             assert issubclass(exc, SolverError)

@@ -9,7 +9,7 @@ from scipy.optimize import brentq
 
 from frontwave.analysis import Classification, classify
 from frontwave.fbsolver import SolverNumerics, StopRule, simulate
-from frontwave.model import InitialData, ModelParams, compute_equilibrium, compute_l0, saturating
+from frontwave.model import InitialData, ModelParams, Nonlinearity, compute_equilibrium, compute_l0
 from frontwave import semiwave
 from frontwave.semiwave import (
     SemiwaveNumerics,
@@ -35,7 +35,7 @@ _TIGHT = dict(xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
 
 def _model(d1, d2, a, b, mu1, mu2, hp, hq, gq, r0, dirichlet):
     params = ModelParams(d1, d2, a, b, mu1, mu2, "dirichlet" if dirichlet else "neumann")
-    return params, saturating(hp, hq, r0 * a * b / hp, gq)
+    return params, Nonlinearity(hp, hq, r0 * a * b / hp, gq)
 
 
 def _cstar_ref(nl, params):
@@ -115,10 +115,25 @@ def test_c0_below_cstar_on_random_spreading_sets(**drawn):
         assert abs(beta / beta_ref - 1.0) <= 1e-13
 
 
+_log_uniform = st.floats(-3.0, 3.0).map(math.exp)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, phases=_NO_SHRINK)
+@given(a=_log_uniform, b=_log_uniform, hp=_log_uniform, hq=_log_uniform, gq=_log_uniform,
+       r0=st.floats(1.0001, 8.0), linear=st.sampled_from(["", "hq", "gq"]))
+def test_closed_form_equilibrium_residuals(a, b, hp, hq, gq, r0, linear):
+    # one component may be linear (q = 0), not both: the pair must saturate
+    nl = Nonlinearity(hp, 0.0 if linear == "hq" else hq, r0 * a * b / hp,
+                      0.0 if linear == "gq" else gq)
+    eq = compute_equilibrium(nl, ModelParams(1.0, 1.0, a, b, 1.0, 1.0))
+    assert abs(a * eq.u_star - nl.H(eq.v_star)) <= 1e-12 * a * eq.u_star
+    assert abs(b * eq.v_star - nl.G(eq.u_star)) <= 1e-12 * b * eq.v_star
+
+
 @pytest.mark.parametrize("d1, d2", [(1e-7, 1e-7), (1e7, 1e7), (1e-7, 1e7)])
 def test_cstar_with_tangency_outside_the_unit_scan(d1, d2):
     # lambda* is 3.2e3, 3.2e-4 and 3.7e-4 here, outside [1e-3, 1e3]
-    params, nl = ModelParams(d1, d2, 1.0, 1.0, 1.0, 1.0, "neumann"), saturating()
+    params, nl = ModelParams(d1, d2, 1.0, 1.0, 1.0, 1.0, "neumann"), Nonlinearity()
     c_star, lam_star = compute_cstar(nl, params)
     assert not 1e-3 <= lam_star <= 1e3
     assert abs(c_star / _cstar_ref(nl, params) - 1.0) <= 1e-13
@@ -146,7 +161,7 @@ def test_swapping_the_components_swaps_the_profile(**drawn):
     swapped = ModelParams(params.d2, params.d1, params.b, params.a, params.mu2, params.mu1,
                           params.boundary)
     pair, prof = find_c0(nl, params)
-    pair_s, prof_s = find_c0(saturating(gp, drawn["gq"], drawn["hp"], drawn["hq"]), swapped)
+    pair_s, prof_s = find_c0(Nonlinearity(gp, drawn["gq"], drawn["hp"], drawn["hq"]), swapped)
     assert abs(pair_s.c0 / pair.c0 - 1.0) <= 1e-12
     assert prof_s.x_nodes.size == prof.x_nodes.size
     assert np.max(np.abs(prof_s.phi - prof.psi)) <= 1e-12 * eq.v_star

@@ -19,10 +19,9 @@ from frontwave import model, semiwave
 from frontwave.model import (
     Equilibrium,
     ModelParams,
+    Nonlinearity,
     _one_sided_slope,
-    cholera,
     compute_equilibrium,
-    saturating,
 )
 from frontwave.semiwave import (
     SemiWaveProfile,
@@ -67,13 +66,13 @@ class TestMinimalSpeed:
 
     def test_no_growth_mode_raises(self):
         p = ModelParams(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, "neumann")
-        nl = saturating(hp=1.0, gp=1.0)  # R0 = 1
+        nl = Nonlinearity(hp=1.0, gp=1.0)  # R0 = 1
         with pytest.raises(NoTangency):
             compute_cstar(nl, p)
 
     def test_asymmetric_case_matches_gridscan_oracle(self):
         p = ModelParams(1.0, 2.0, 1.0, 2.0, 1.0, 1.0, "neumann")
-        nl = saturating(hp=3.0, gp=2.0)  # dH(0)=3, dG(0)=2
+        nl = Nonlinearity(hp=3.0, gp=2.0)  # dH(0)=3, dG(0)=2
         c_star, lam_star = compute_cstar(nl, p)
         c_ref, lam_ref = cstar_gridscan_oracle(1.0, 2.0, 1.0, 2.0, 6.0)
         assert c_star == pytest.approx(c_ref, abs=1e-6)
@@ -81,7 +80,7 @@ class TestMinimalSpeed:
 
     def test_tangency_residuals_at_machine_level(self):
         p = ModelParams(1.0, 2.0, 1.0, 2.0, 1.0, 1.0, "neumann")
-        nl = saturating(hp=3.0, gp=2.0)
+        nl = Nonlinearity(hp=3.0, gp=2.0)
         c, lam = compute_cstar(nl, p)
         k = 6.0
         A = p.d1 * lam * lam - c * lam - p.a
@@ -130,10 +129,10 @@ class TestSemiWaveProfile:
     def test_cold_newton_across_speed_range(self, case, frac):
         if case == "asymmetric":
             p = ModelParams(1.0, 2.0, 1.0, 1.5, 0.7, 1.3, "neumann")
-            nl = saturating(hp=3.0, gq=0.5)
+            nl = Nonlinearity(hp=3.0, gq=0.5)
         else:  # 12/beta > 40: a wide grid
             p = ModelParams(1.0, 3.0, 0.5, 0.5, 0.7, 1.3, "neumann")
-            nl = saturating(hp=1.5, gp=0.35)
+            nl = Nonlinearity(hp=1.5, gp=0.35)
         eq = compute_equilibrium(nl, p)
         c_star, _ = compute_cstar(nl, p)
         prof = solve_semiwave(frac * c_star, nl, p, eq=eq, cstar=c_star)
@@ -194,18 +193,18 @@ class TestSemiWaveProfile:
 
 
 _SPEED_SETS = {
-    "symmetric": (saturating(2.0, 1.0, 2.0, 1.0),
+    "symmetric": (Nonlinearity(2.0, 1.0, 2.0, 1.0),
                   ModelParams(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, "neumann")),
-    "asymmetric": (saturating(hp=3.0, gq=0.5),
+    "asymmetric": (Nonlinearity(hp=3.0, gq=0.5),
                    ModelParams(1.0, 2.0, 1.0, 1.5, 0.7, 1.3, "neumann")),
     # the longest grid of the O(1) sets: 12/beta(c) from 44 at c = 0 to 49 at c0
-    "slow_tail": (saturating(hp=1.5, gp=0.35),
+    "slow_tail": (Nonlinearity(hp=1.5, gp=0.35),
                   ModelParams(1.0, 3.0, 0.5, 0.5, 0.7, 1.3, "neumann")),
-    "large_diffusion": (saturating(hp=2.0, gp=2.0),
+    "large_diffusion": (Nonlinearity(hp=2.0, gp=2.0),
                         ModelParams(200.0, 200.0, 1.0, 1.0, 1.0, 1.0, "neumann")),
-    "cholera": (cholera(c=1.5, gp=2.0, gq=0.5),
+    "cholera": (Nonlinearity(hp=1.5, hq=0.0, gq=0.5),
                 ModelParams(1.0, 2.0, 1.0, 1.5, 0.7, 1.3, "neumann")),
-    "large_mu": (saturating(2.0, 1.0, 2.0, 1.0),
+    "large_mu": (Nonlinearity(2.0, 1.0, 2.0, 1.0),
                  ModelParams(1.0, 1.0, 1.0, 1.0, 5000.0, 5000.0, "neumann")),
 }
 
@@ -289,7 +288,7 @@ class TestFreeBoundarySpeed:
         # the c = 0 profile converges (residual 5.6e-13) and phi falls by
         # 2.2e-16 next to u*: rounding, which the profile check must accept
         p = ModelParams(0.5, 0.5, 1.0, 1.03125, 1.0, 1.0, "neumann")
-        nl = saturating(1.9375, 1.0, 4.65625 * 1.03125 / 1.9375, 1.05859375)
+        nl = Nonlinearity(1.9375, 1.0, 4.65625 * 1.03125 / 1.9375, 1.05859375)
         pair, _ = find_c0(nl, p)
         assert pair.c0 == pytest.approx(0.518205035697, abs=1e-9)
 
@@ -341,7 +340,7 @@ class TestFreeBoundarySpeed:
     def test_subcritical_raises(self):
         p = ModelParams(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, "neumann")
         with pytest.raises(NoTangency):
-            find_c0(saturating(hp=1.0, gp=1.0), p)
+            find_c0(Nonlinearity(hp=1.0, gp=1.0), p)
 
     def test_grid_halving_second_order(self, s1_nl, s1_neumann):
         c0s = [find_c0(s1_nl, s1_neumann, SemiwaveNumerics(dx=dx))[0].c0
@@ -376,7 +375,7 @@ class TestNewton:
     def small_system(self):
         """Asymmetric cholera set on 21 nodes, off any solution."""
         p = ModelParams(1.0, 2.0, 1.0, 1.5, 0.7, 1.3, "neumann")
-        nl = cholera(c=1.5, gp=2.0, gq=0.5)
+        nl = Nonlinearity(hp=1.5, hq=0.0, gq=0.5)
         eq = compute_equilibrium(nl, p)
         c, dx = 0.3, 0.25
         x = np.linspace(0.0, 20 * dx, 21)
@@ -478,7 +477,7 @@ class TestNewton:
         # d = 200 puts the stopping level at ~9e-10, 200 times the
         # symmetric set's; c0 is the value found with Newton run to 1e-13
         p = ModelParams(200.0, 200.0, 1.0, 1.0, 1.0, 1.0, "neumann")
-        nl = saturating(hp=2.0, gp=2.0)
+        nl = Nonlinearity(hp=2.0, gp=2.0)
         exits = self._record_exits(monkeypatch)
         pair, prof = find_c0(nl, p)
         assert exits and all(res <= stop for res, stop in exits)
@@ -556,6 +555,6 @@ class TestHalfLineSteady:
 
     def test_subcritical_collapses_to_zero(self):
         p = ModelParams(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, "neumann")
-        nl = saturating(hp=0.9, gp=0.9)  # R0 < 1: only the trivial state is bounded
+        nl = Nonlinearity(hp=0.9, gp=0.9)  # R0 < 1: only the trivial state is bounded
         with pytest.raises(NoPositiveRoot):
             solve_semiwave(0.0, nl, p)
